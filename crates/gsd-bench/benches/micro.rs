@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot building blocks: grid
 //! partitioning, frontier operations, the scatter/apply kernels, the
-//! scheduler's S_seq/S_ran split, and simulated-disk overhead.
+//! scheduler's S_seq/S_ran split, simulated-disk overhead, and the CRC32
+//! behind verify-on-read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gsd_algos::PageRank;
@@ -116,6 +117,16 @@ fn bench_sim_disk(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_integrity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("integrity");
+    let data: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("crc32_1mib", |b| b.iter(|| gsd_integrity::crc32(&data)));
+    group.finish();
+}
+
 fn bench_value_array(c: &mut Criterion) {
     let mut group = c.benchmark_group("value_array");
     let arr = ValueArray::<f32>::new(1_000_000, 0.0);
@@ -138,6 +149,7 @@ criterion_group!(
     bench_kernels,
     bench_scheduler,
     bench_sim_disk,
+    bench_integrity,
     bench_value_array
 );
 criterion_main!(benches);

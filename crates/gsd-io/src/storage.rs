@@ -12,7 +12,7 @@ use crate::stats::IoStats;
 use gsd_trace::Stopwatch;
 use gsd_trace::{CounterRegistry, Histogram};
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Error, ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
@@ -115,12 +115,16 @@ pub trait Storage: Send + Sync {
         Ok(buf)
     }
 
-    /// Flushes all buffered state to durable media. The checkpoint commit
-    /// protocol (gsd-recover) calls this between writing a snapshot and
-    /// publishing its manifest so a crash cannot expose a manifest whose
-    /// snapshot is still in the page cache. Backends without buffering
-    /// semantics (in-memory, simulated) default to a no-op; `SimDisk`
-    /// overrides it to charge the flush to the virtual clock.
+    /// Makes durable everything **this handle** created, wrote or deleted
+    /// since its last successful `sync`: object data and the directory
+    /// entries that name (or no longer name) those objects. Objects
+    /// written through another handle on the same backing store are not
+    /// covered. The checkpoint commit protocol (gsd-recover) calls this
+    /// between writing a snapshot and publishing its manifest so a crash
+    /// cannot expose a manifest whose snapshot is still in the page
+    /// cache. Backends without buffering semantics (in-memory, simulated)
+    /// default to a no-op; `SimDisk` overrides it to charge the flush to
+    /// the virtual clock.
     fn sync(&self) -> crate::Result<()> {
         Ok(())
     }
@@ -381,6 +385,34 @@ pub struct FileStorage {
     cursors: Mutex<Cursors>,
     stats: Arc<IoStats>,
     req: RequestCounters,
+    /// What the next `sync` must flush: files with unflushed `write_at`
+    /// data, and directories whose entries changed (a `create` rename or
+    /// a `delete`) or that `create_dir_all` may have just made.
+    dirty: Mutex<DirtySet>,
+}
+
+/// Paths a [`FileStorage`] handle has touched since its last successful
+/// `sync`.
+#[derive(Default)]
+struct DirtySet {
+    files: BTreeSet<PathBuf>,
+    dirs: BTreeSet<PathBuf>,
+}
+
+impl DirtySet {
+    /// Files first, then directories deepest first, so an entry is
+    /// flushed only after what it names (the order the old whole-tree
+    /// walk used).
+    fn into_flush_order(self) -> Vec<PathBuf> {
+        let mut dirs: Vec<PathBuf> = self.dirs.into_iter().collect();
+        dirs.sort_by(|a, b| {
+            b.components()
+                .count()
+                .cmp(&a.components().count())
+                .then_with(|| a.cmp(b))
+        });
+        self.files.into_iter().chain(dirs).collect()
+    }
 }
 
 impl FileStorage {
@@ -393,12 +425,72 @@ impl FileStorage {
             cursors: Mutex::new(Cursors::default()),
             stats: Arc::new(IoStats::new()),
             req: RequestCounters::new(),
+            dirty: Mutex::new(DirtySet::default()),
         })
     }
 
     /// The root directory of this store.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The paths the next `sync` will flush, in flush order: dirty files,
+    /// then dirty directories deepest first.
+    pub fn pending_sync(&self) -> Vec<PathBuf> {
+        let dirty = self.dirty.lock();
+        DirtySet {
+            files: dirty.files.clone(),
+            dirs: dirty.dirs.clone(),
+        }
+        .into_flush_order()
+    }
+
+    /// Queues `path`'s parent directory and every ancestor up to the root:
+    /// their entries changed, and `create_dir_all` may have just made
+    /// some of them.
+    fn mark_dirs_dirty(&self, path: &Path) {
+        let Some(parent) = path.parent() else {
+            return;
+        };
+        let mut dirty = self.dirty.lock();
+        for dir in parent.ancestors() {
+            if !dir.starts_with(&self.root) {
+                break;
+            }
+            if !dirty.dirs.insert(dir.to_path_buf()) {
+                // Every ancestor of a queued directory is queued too.
+                break;
+            }
+        }
+    }
+
+    /// `sync_all`s every queued path and returns how many were flushed.
+    /// Paths that no longer exist are skipped; on any other error the
+    /// paths not yet flushed are queued again, so a retried `sync` still
+    /// covers them.
+    fn flush_dirty(&self) -> crate::Result<usize> {
+        let taken = std::mem::take(&mut *self.dirty.lock());
+        let num_files = taken.files.len();
+        let order = taken.into_flush_order();
+        let mut flushed = 0;
+        for (at, path) in order.iter().enumerate() {
+            match fs::File::open(path).and_then(|f| f.sync_all()) {
+                Ok(()) => flushed += 1,
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => {
+                    let mut dirty = self.dirty.lock();
+                    for (i, rest) in order.into_iter().enumerate().skip(at) {
+                        if i < num_files {
+                            dirty.files.insert(rest);
+                        } else {
+                            dirty.dirs.insert(rest);
+                        }
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(flushed)
     }
 
     fn path_of(&self, key: &str) -> crate::Result<PathBuf> {
@@ -432,6 +524,7 @@ impl Storage for FileStorage {
             f.sync_data()?;
         }
         fs::rename(&tmp, &path)?;
+        self.mark_dirs_dirty(&path);
         self.cursors.lock().forget(key);
         self.stats.record_write(data.len() as u64);
         self.req.record_write(data.len() as u64, started);
@@ -475,6 +568,7 @@ impl Storage for FileStorage {
             return Err(out_of_range(key, offset, data.len(), size));
         }
         f.write_all_at(data, offset)?;
+        self.dirty.lock().files.insert(path);
         self.cursors
             .lock()
             .note_write(key, offset, data.len() as u64);
@@ -501,6 +595,7 @@ impl Storage for FileStorage {
             Err(e) if e.kind() == ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
+        self.mark_dirs_dirty(&path);
         self.cursors.lock().forget(key);
         Ok(())
     }
@@ -538,23 +633,13 @@ impl Storage for FileStorage {
     }
 
     fn sync(&self) -> crate::Result<()> {
-        // `create` already fsyncs file *data* before the rename; what can
-        // still be lost in a crash is a rename (a directory entry) or an
-        // unflushed `write_at`. Walk the tree once, `sync_all`-ing every
-        // file and directory.
-        fn sync_tree(dir: &Path) -> crate::Result<()> {
-            for entry in fs::read_dir(dir)? {
-                let path = entry?.path();
-                if path.is_dir() {
-                    sync_tree(&path)?;
-                } else {
-                    fs::File::open(&path)?.sync_all()?;
-                }
-            }
-            fs::File::open(dir)?.sync_all()?;
-            Ok(())
-        }
-        sync_tree(&self.root)
+        // Scope: everything this handle created, wrote or deleted since
+        // the last successful sync. `create` already fsyncs file *data*
+        // before the rename; what can still be lost in a crash is a
+        // rename or unlink (a directory entry) or an unflushed
+        // `write_at`. Both are queued as they happen, so the flush costs
+        // what was touched, not the size of the tree.
+        self.flush_dirty().map(|_| ())
     }
 }
 
@@ -734,6 +819,85 @@ mod tests {
         store.create("top.bin", &[4])?;
         store.sync()?;
         assert_eq!(store.read_all("a/b/c.bin")?, vec![1, 2, 3]);
+        Ok(())
+    }
+
+    #[test]
+    fn file_ops_queue_exactly_what_they_touch() -> crate::Result<()> {
+        let dir = crate::TempDir::new("gsd-io-dirty")?;
+        let root = dir.path().to_path_buf();
+        let store = FileStorage::open(&root)?;
+        assert!(
+            store.pending_sync().is_empty(),
+            "a fresh handle owes nothing"
+        );
+
+        // `create`: the parent and every ancestor up to the root, no file
+        // (its data was synced before the rename).
+        store.create("a/b/c.bin", &[1, 2, 3])?;
+        assert_eq!(
+            store.pending_sync(),
+            vec![root.join("a/b"), root.join("a"), root.clone()]
+        );
+        store.sync()?;
+        assert!(store.pending_sync().is_empty(), "sync drains the queue");
+
+        // `write_at`: the file only.
+        store.write_at("a/b/c.bin", 1, &[9])?;
+        assert_eq!(store.pending_sync(), vec![root.join("a/b/c.bin")]);
+        store.sync()?;
+
+        // `delete`: the directories whose entry vanished.
+        store.create("x/y.bin", &[4])?;
+        store.sync()?;
+        store.delete("x/y.bin")?;
+        assert_eq!(store.pending_sync(), vec![root.join("x"), root.clone()]);
+
+        // Files first, then directories deepest first.
+        store.write_at("a/b/c.bin", 0, &[7])?;
+        store.create("a/d/e/f.bin", &[5])?;
+        assert_eq!(
+            store.pending_sync(),
+            vec![
+                root.join("a/b/c.bin"),
+                root.join("a/d/e"),
+                root.join("a/d"),
+                root.join("a"),
+                root.join("x"),
+                root.clone(),
+            ]
+        );
+        assert_eq!(store.flush_dirty()?, 6);
+        assert!(store.pending_sync().is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn file_sync_with_nothing_dirty_opens_nothing() -> crate::Result<()> {
+        let dir = crate::TempDir::new("gsd-io-resync")?;
+        let store = FileStorage::open(dir.path())?;
+        store.create("a/b.bin", &[1, 2])?;
+        store.write_at("a/b.bin", 0, &[3])?;
+        assert_eq!(store.flush_dirty()?, 3, "file, a/ and the root");
+        assert_eq!(store.flush_dirty()?, 0, "a second sync flushes nothing");
+        // Reads queue nothing either.
+        assert_eq!(store.read_all("a/b.bin")?, vec![3, 2]);
+        assert_eq!(store.flush_dirty()?, 0);
+        Ok(())
+    }
+
+    #[test]
+    fn file_sync_skips_a_dirtied_file_deleted_since() -> crate::Result<()> {
+        let dir = crate::TempDir::new("gsd-io-gone")?;
+        let store = FileStorage::open(dir.path())?;
+        store.create("a/b.bin", &[1, 2])?;
+        store.sync()?;
+        store.write_at("a/b.bin", 0, &[3])?;
+        store.delete("a/b.bin")?;
+        assert!(store.pending_sync().contains(&dir.path().join("a/b.bin")));
+        // The vanished file is skipped; its directory entry is flushed.
+        assert_eq!(store.flush_dirty()?, 2, "a/ and the root");
+        assert!(store.pending_sync().is_empty());
         Ok(())
     }
 

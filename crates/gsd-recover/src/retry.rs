@@ -263,6 +263,35 @@ mod tests {
     }
 
     #[test]
+    fn sync_reaches_the_file_store_through_fault_and_retry_layers() -> std::io::Result<()> {
+        let dir = gsd_io::TempDir::new("gsd-recover-sync")?;
+        let files = Arc::new(gsd_io::FileStorage::open(dir.path())?);
+        let shared: SharedStorage = files.clone();
+        // Seed SEED's first draw fails and its second passes, so the sync
+        // below is refused once by the fault layer and then retried.
+        const SEED: u64 = 2;
+        let faulty = Arc::new(FaultyStorage::new(
+            shared,
+            FaultConfig::transient(SEED, 0.5),
+        ));
+        let retrying = RetryingStorage::new(
+            faulty.clone(),
+            RetryPolicy::attempts(4).with_backoff(Duration::ZERO),
+        );
+        files.create("a/b.bin", &[1, 2, 3])?;
+        files.write_at("a/b.bin", 0, &[4])?;
+        assert!(!files.pending_sync().is_empty());
+        retrying.sync()?;
+        assert_eq!(faulty.injected_transient(), 1, "the first attempt failed");
+        assert_eq!(retrying.stats().snapshot().retried_ops, 1);
+        assert!(
+            files.pending_sync().is_empty(),
+            "the retried sync flushed the file store's queue"
+        );
+        Ok(())
+    }
+
+    #[test]
     fn backoff_doubles_but_is_bounded_by_attempts() {
         // Zero base: the loop must not sleep at all (no wall-clock
         // dependence in simulated runs); just exercise the path.
