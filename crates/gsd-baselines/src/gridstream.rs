@@ -10,7 +10,7 @@ use gsd_io::IoStatsSnapshot;
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed};
 use gsd_runtime::{
     Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, ValueArray, VertexProgram, VertexValueFile,
+    RunResult, RunStats, VertexProgram, VertexValueFile,
 };
 use gsd_trace::Stopwatch;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -81,10 +81,10 @@ impl Engine for GridStreamEngine {
             });
         }
 
-        let values_prev = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let values_cur = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let accum = ValueArray::new(n as usize, program.zero_accum());
-        let touched = Frontier::empty(n);
+        let mut values_prev: Vec<P::Value> = (0..n).map(|v| program.init_value(v, &ctx)).collect();
+        let mut values_cur = values_prev.clone();
+        let mut accum = vec![program.zero_accum(); n as usize];
+        let mut touched = Frontier::empty(n);
         let mut frontier = program.initial_frontier(&ctx).build(n)?;
         let mut vfile = VertexValueFile::ensure(
             storage.as_ref(),
@@ -135,10 +135,10 @@ impl Engine for GridStreamEngine {
             }
 
             let t = Stopwatch::start();
-            values_cur.copy_from(&values_prev);
+            values_cur.copy_from_slice(&values_prev);
             compute += t.elapsed();
 
-            let out = Frontier::empty(n);
+            let mut out = Frontier::empty(n);
             for j in 0..p {
                 for i in 0..p {
                     if grid.meta().block_edge_count(i, j) == 0 {
@@ -162,8 +162,8 @@ impl Engine for GridStreamEngine {
                         &edges,
                         Some(&frontier),
                         &values_prev,
-                        &accum,
-                        &touched,
+                        &mut accum,
+                        &mut touched,
                         &mut scatter_t,
                     );
                     compute += t.elapsed();
@@ -175,9 +175,9 @@ impl Engine for GridStreamEngine {
                     grid.intervals().range(j),
                     program.apply_all(),
                     &touched,
-                    &accum,
-                    &values_cur,
-                    &out,
+                    &mut accum,
+                    &mut values_cur,
+                    &mut out,
                     &mut apply_t,
                 );
                 compute += t.elapsed();
@@ -193,7 +193,7 @@ impl Engine for GridStreamEngine {
                 });
             }
 
-            values_prev.copy_from(&values_cur);
+            values_prev.copy_from_slice(&values_cur);
             touched.clear();
             frontier = out;
 
@@ -239,7 +239,7 @@ impl Engine for GridStreamEngine {
         let vd = grid.verify_counters().since(&verify_snap);
         stats.fold_verify(&vd);
         Ok(RunResult {
-            values: values_prev.snapshot(),
+            values: values_prev,
             stats,
         })
     }

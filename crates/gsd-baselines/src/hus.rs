@@ -19,14 +19,13 @@
 //! no cross-iteration propagation, which is exactly the gap the paper's
 //! Figures 5/7 measure.
 
-use crate::recover::BaselineCkpt;
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::{IoStatsSnapshot, Storage};
-use gsd_recover::{CheckpointData, RecoveryConfig};
+use gsd_recover::{CheckpointData, CheckpointDriver, RecoveryConfig};
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed};
 use gsd_runtime::{
     Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, Value, ValueArray, VertexProgram, VertexValueFile,
+    RunResult, RunStats, VertexProgram, VertexValueFile,
 };
 use gsd_trace::Stopwatch;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -181,10 +180,10 @@ impl Engine for HusGraphEngine {
             });
         }
 
-        let values_prev = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let values_cur = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let accum = ValueArray::new(n as usize, program.zero_accum());
-        let touched = Frontier::empty(n);
+        let mut values_prev: Vec<P::Value> = (0..n).map(|v| program.init_value(v, &ctx)).collect();
+        let mut values_cur = values_prev.clone();
+        let mut accum = vec![program.zero_accum(); n as usize];
+        let mut touched = Frontier::empty(n);
         let mut frontier = program.initial_frontier(&ctx).build(n)?;
         let mut vfile = VertexValueFile::ensure(
             storage.as_ref(),
@@ -216,9 +215,9 @@ impl Engine for HusGraphEngine {
         // resumed run is bit-identical in every observable.
         let mut start = 1u32;
         let mut base_io = IoStatsSnapshot::default();
-        let mut ckpt: Option<BaselineCkpt> = None;
+        let mut ckpt: Option<CheckpointDriver> = None;
         if let Some(cfg) = &self.checkpoint {
-            let (driver, resumed) = BaselineCkpt::open(
+            let (driver, resumed) = CheckpointDriver::open(
                 cfg,
                 &storage,
                 row.prefix(),
@@ -226,17 +225,11 @@ impl Engine for HusGraphEngine {
                 program.name(),
                 program.value_bytes(),
                 n,
+                0,
                 self.trace.clone(),
             )?;
             if let Some(data) = resumed {
-                for (v, &bits) in (0u32..).zip(&data.values) {
-                    values_prev.set(v, P::Value::from_bits(bits));
-                }
-                values_cur.copy_from(&values_prev);
-                for (v, &bits) in (0u32..).zip(&data.accum) {
-                    accum.set(v, P::Accum::from_bits(bits));
-                }
-                frontier = Frontier::from_seeds(n, &data.frontier);
+                data.restore(&mut values_prev, &mut accum, &mut frontier, &mut touched);
                 stats = data.stats.clone();
                 base_io = data.stats.io;
                 start = data.iteration + 1;
@@ -279,10 +272,10 @@ impl Engine for HusGraphEngine {
             }
 
             let t = Stopwatch::start();
-            values_cur.copy_from(&values_prev);
+            values_cur.copy_from_slice(&values_prev);
             compute += t.elapsed();
 
-            let out = Frontier::empty(n);
+            let mut out = Frontier::empty(n);
             if use_rop {
                 // --- ROP: selective loads from the row copy ---
                 edges.clear();
@@ -363,8 +356,8 @@ impl Engine for HusGraphEngine {
                     &edges,
                     None,
                     &values_prev,
-                    &accum,
-                    &touched,
+                    &mut accum,
+                    &mut touched,
                     &mut scatter_t,
                 );
                 apply_range_timed(
@@ -373,9 +366,9 @@ impl Engine for HusGraphEngine {
                     0..n,
                     program.apply_all(),
                     &touched,
-                    &accum,
-                    &values_cur,
-                    &out,
+                    &mut accum,
+                    &mut values_cur,
+                    &mut out,
                     &mut apply_t,
                 );
                 compute += t.elapsed();
@@ -404,8 +397,8 @@ impl Engine for HusGraphEngine {
                             &edges,
                             Some(&frontier),
                             &values_prev,
-                            &accum,
-                            &touched,
+                            &mut accum,
+                            &mut touched,
                             &mut scatter_t,
                         );
                         compute += t.elapsed();
@@ -417,9 +410,9 @@ impl Engine for HusGraphEngine {
                         col.intervals().range(j),
                         program.apply_all(),
                         &touched,
-                        &accum,
-                        &values_cur,
-                        &out,
+                        &mut accum,
+                        &mut values_cur,
+                        &mut out,
                         &mut apply_t,
                     );
                     compute += t.elapsed();
@@ -436,7 +429,7 @@ impl Engine for HusGraphEngine {
                 });
             }
 
-            values_prev.copy_from(&values_cur);
+            values_prev.copy_from_slice(&values_cur);
             touched.clear();
             frontier = out;
 
@@ -490,19 +483,15 @@ impl Engine for HusGraphEngine {
                     ] {
                         ckpt_stats.fold_verify(&vd);
                     }
-                    driver.commit(&CheckpointData {
-                        iteration: iter,
-                        values: values_prev
-                            .snapshot()
-                            .into_iter()
-                            .map(Value::to_bits)
-                            .collect(),
-                        accum: accum.snapshot().into_iter().map(Value::to_bits).collect(),
-                        frontier: frontier.to_vec(),
-                        touched: touched.to_vec(),
-                        stats: ckpt_stats,
-                        extra: Vec::new(),
-                    })?;
+                    driver.commit(&CheckpointData::capture(
+                        iter,
+                        &values_prev,
+                        &accum,
+                        &frontier,
+                        &touched,
+                        ckpt_stats,
+                        Vec::new(),
+                    ))?;
                 }
             }
         }
@@ -525,7 +514,7 @@ impl Engine for HusGraphEngine {
             stats.fold_verify(&vd);
         }
         Ok(RunResult {
-            values: values_prev.snapshot(),
+            values: values_prev,
             stats,
         })
     }

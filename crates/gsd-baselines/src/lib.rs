@@ -30,7 +30,6 @@
 pub mod gridstream;
 pub mod hus;
 pub mod lumos;
-mod recover;
 
 /// Maps the runtime's access-model enum onto the trace schema's (the
 /// trace crate sits below `gsd-runtime` and cannot name it).

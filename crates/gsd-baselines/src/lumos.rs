@@ -10,15 +10,14 @@
 //! and its on-disk format is a single **unsorted** copy without per-vertex
 //! indexes, giving it the cheapest preprocessing in Figure 8.
 
-use crate::recover::BaselineCkpt;
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::{IoStatsSnapshot, Storage};
 use gsd_pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest};
-use gsd_recover::{CheckpointData, RecoveryConfig};
+use gsd_recover::{CheckpointData, CheckpointDriver, RecoveryConfig};
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed};
 use gsd_runtime::{
-    Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, Value, ValueArray, VertexProgram, VertexValueFile,
+    BspState, Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext,
+    RunOptions, RunResult, RunStats, Value, VertexProgram, VertexValueFile,
 };
 use gsd_trace::Stopwatch;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -113,27 +112,6 @@ fn take_scheduled(
     Ok(taken.edges)
 }
 
-struct LumosState<V: gsd_runtime::Value, A: gsd_runtime::Value> {
-    values_prev: ValueArray<V>,
-    values_cur: ValueArray<V>,
-    accum_cur: ValueArray<A>,
-    accum_next: ValueArray<A>,
-    touched_cur: Frontier,
-    touched_next: Frontier,
-    frontier: Frontier,
-}
-
-impl<V: gsd_runtime::Value, A: gsd_runtime::Value> LumosState<V, A> {
-    fn rotate(&mut self, out: Frontier, zero: A) {
-        std::mem::swap(&mut self.values_prev, &mut self.values_cur);
-        std::mem::swap(&mut self.accum_cur, &mut self.accum_next);
-        self.accum_next.fill(zero);
-        std::mem::swap(&mut self.touched_cur, &mut self.touched_next);
-        self.touched_next.clear();
-        self.frontier = out;
-    }
-}
-
 /// Boundary snapshot of a Lumos round. Rounds always end with the
 /// cross-iteration accumulator drained (a two-pass round consumes it in
 /// the secondary pass; a single-pass final round never fills it), but the
@@ -142,7 +120,7 @@ impl<V: gsd_runtime::Value, A: gsd_runtime::Value> LumosState<V, A> {
 /// report at this boundary (checkpoint traffic already excluded).
 fn lumos_ckpt_data<V: Value, A: Value>(
     committed: u32,
-    st: &LumosState<V, A>,
+    st: &BspState<V, A>,
     stats: &RunStats,
     cross_iter_edges: u64,
     prefetch_hits: u64,
@@ -154,25 +132,15 @@ fn lumos_ckpt_data<V: Value, A: Value>(
     stats.prefetch_hits = prefetch_hits;
     stats.prefetch_misses = prefetch_misses;
     stats.io = io;
-    CheckpointData {
-        iteration: committed,
-        values: st
-            .values_prev
-            .snapshot()
-            .into_iter()
-            .map(Value::to_bits)
-            .collect(),
-        accum: st
-            .accum_cur
-            .snapshot()
-            .into_iter()
-            .map(Value::to_bits)
-            .collect(),
-        frontier: st.frontier.to_vec(),
-        touched: st.touched_cur.to_vec(),
+    CheckpointData::capture(
+        committed,
+        &st.values_prev,
+        &st.accum_cur,
+        &st.frontier,
+        &st.touched_cur,
         stats,
-        extra: Vec::new(),
-    }
+        Vec::new(),
+    )
 }
 
 impl Engine for LumosEngine {
@@ -199,7 +167,6 @@ impl Engine for LumosEngine {
         let p = grid.p();
         let ctx = ProgramContext::new(n, self.degrees.clone());
         let limit = options.limit_for(program);
-        let zero = program.zero_accum();
         let mut stats = RunStats::new(self.name(), program.name());
 
         if n == 0 {
@@ -209,15 +176,7 @@ impl Engine for LumosEngine {
             });
         }
 
-        let mut st = LumosState {
-            values_prev: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            values_cur: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            accum_cur: ValueArray::new(n as usize, zero),
-            accum_next: ValueArray::new(n as usize, zero),
-            touched_cur: Frontier::empty(n),
-            touched_next: Frontier::empty(n),
-            frontier: program.initial_frontier(&ctx).build(n)?,
-        };
+        let mut st = BspState::new(program, &ctx)?;
         let mut vfile = VertexValueFile::ensure(
             storage.as_ref(),
             format!(
@@ -254,9 +213,9 @@ impl Engine for LumosEngine {
         // not count toward the run's reported I/O.
         let mut iter = 1u32;
         let mut base_io = IoStatsSnapshot::default();
-        let mut ckpt: Option<BaselineCkpt> = None;
+        let mut ckpt: Option<CheckpointDriver> = None;
         if let Some(cfg) = &self.checkpoint {
-            let (driver, resumed) = BaselineCkpt::open(
+            let (driver, resumed) = CheckpointDriver::open(
                 cfg,
                 &storage,
                 grid.prefix(),
@@ -264,18 +223,16 @@ impl Engine for LumosEngine {
                 program.name(),
                 program.value_bytes(),
                 n,
+                0,
                 self.trace.clone(),
             )?;
             if let Some(data) = resumed {
-                for (v, &bits) in (0u32..).zip(&data.values) {
-                    st.values_prev.set(v, P::Value::from_bits(bits));
-                }
-                st.values_cur.copy_from(&st.values_prev);
-                for (v, &bits) in (0u32..).zip(&data.accum) {
-                    st.accum_cur.set(v, P::Accum::from_bits(bits));
-                }
-                st.frontier = Frontier::from_seeds(n, &data.frontier);
-                st.touched_cur = Frontier::from_seeds(n, &data.touched);
+                data.restore(
+                    &mut st.values_prev,
+                    &mut st.accum_cur,
+                    &mut st.frontier,
+                    &mut st.touched_cur,
+                );
                 stats = data.stats.clone();
                 cross_iter_edges = stats.cross_iter_edges;
                 prefetch_hits = stats.prefetch_hits;
@@ -330,10 +287,10 @@ impl Engine for LumosEngine {
             }
 
             let t = Stopwatch::start();
-            st.values_cur.copy_from(&st.values_prev);
+            st.values_cur.copy_from_slice(&st.values_prev);
             compute += t.elapsed();
 
-            let out = Frontier::empty(n);
+            let mut out = Frontier::empty(n);
             for j in 0..p {
                 let mut diag: Option<Vec<gsd_graph::Edge>> = None;
                 for i in 0..p {
@@ -369,8 +326,8 @@ impl Engine for LumosEngine {
                         &edges,
                         Some(&st.frontier),
                         &st.values_prev,
-                        &st.accum_cur,
-                        &st.touched_cur,
+                        &mut st.accum_cur,
+                        &mut st.touched_cur,
                         &mut scatter_t,
                     );
                     if two_pass {
@@ -381,8 +338,8 @@ impl Engine for LumosEngine {
                                 &edges,
                                 Some(&out),
                                 &st.values_cur,
-                                &st.accum_next,
-                                &st.touched_next,
+                                &mut st.accum_next,
+                                &mut st.touched_next,
                                 &mut scatter_t,
                             );
                             cross_iter_edges += served;
@@ -400,9 +357,9 @@ impl Engine for LumosEngine {
                     grid.intervals().range(j),
                     program.apply_all(),
                     &st.touched_cur,
-                    &st.accum_cur,
-                    &st.values_cur,
-                    &out,
+                    &mut st.accum_cur,
+                    &mut st.values_cur,
+                    &mut out,
                     &mut apply_t,
                 );
                 if let Some(diag) = diag {
@@ -412,8 +369,8 @@ impl Engine for LumosEngine {
                         &diag,
                         Some(&out),
                         &st.values_cur,
-                        &st.accum_next,
-                        &st.touched_next,
+                        &mut st.accum_next,
+                        &mut st.touched_next,
                         &mut scatter_t,
                     );
                     cross_iter_edges += served;
@@ -438,7 +395,7 @@ impl Engine for LumosEngine {
                 });
             }
 
-            st.rotate(out, zero);
+            st.rotate(out);
             let io = storage.stats().snapshot().since(&iter_snap);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::IterationEnd {
@@ -532,10 +489,10 @@ impl Engine for LumosEngine {
             }
 
             let t = Stopwatch::start();
-            st.values_cur.copy_from(&st.values_prev);
+            st.values_cur.copy_from_slice(&st.values_prev);
             compute += t.elapsed();
 
-            let out = Frontier::empty(n);
+            let mut out = Frontier::empty(n);
             for j in 0..p {
                 for i in (j + 1)..p {
                     if grid.meta().block_edge_count(i, j) == 0 {
@@ -569,8 +526,8 @@ impl Engine for LumosEngine {
                         &edges,
                         Some(&st.frontier),
                         &st.values_prev,
-                        &st.accum_cur,
-                        &st.touched_cur,
+                        &mut st.accum_cur,
+                        &mut st.touched_cur,
                         &mut scatter_t,
                     );
                     compute += t.elapsed();
@@ -582,9 +539,9 @@ impl Engine for LumosEngine {
                     grid.intervals().range(j),
                     program.apply_all(),
                     &st.touched_cur,
-                    &st.accum_cur,
-                    &st.values_cur,
-                    &out,
+                    &mut st.accum_cur,
+                    &mut st.values_cur,
+                    &mut out,
                     &mut apply_t,
                 );
                 compute += t.elapsed();
@@ -600,7 +557,7 @@ impl Engine for LumosEngine {
                 });
             }
 
-            st.rotate(out, zero);
+            st.rotate(out);
             let io = storage.stats().snapshot().since(&iter_snap);
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::IterationEnd {
@@ -670,7 +627,7 @@ impl Engine for LumosEngine {
         stats.prefetch_hits = prefetch_hits;
         stats.prefetch_misses = prefetch_misses;
         Ok(RunResult {
-            values: st.values_prev.snapshot(),
+            values: st.values_prev,
             stats,
         })
     }

@@ -9,7 +9,7 @@ use gsd_core::Scheduler;
 use gsd_graph::{preprocess, GeneratorConfig, GraphKind, PreprocessConfig};
 use gsd_io::{DiskModel, MemStorage, SimDisk, Storage};
 use gsd_runtime::kernels::{apply_range, scatter_edges};
-use gsd_runtime::{Frontier, ProgramContext, ValueArray};
+use gsd_runtime::{Frontier, ProgramContext};
 use std::sync::Arc;
 
 fn bench_partitioning(c: &mut Criterion) {
@@ -37,7 +37,7 @@ fn bench_frontier(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("insert_all", |b| {
         b.iter(|| {
-            let f = Frontier::empty(n);
+            let mut f = Frontier::empty(n);
             for v in 0..n {
                 f.insert(v);
             }
@@ -60,19 +60,28 @@ fn bench_kernels(c: &mut Criterion) {
     let n = g.num_vertices();
     let ctx = ProgramContext::new(n, Arc::new(g.out_degrees()));
     let pr = PageRank::paper();
-    let values = ValueArray::<f32>::new(n as usize, 1.0);
-    let accum = ValueArray::<f32>::new(n as usize, 0.0);
-    let touched = Frontier::empty(n);
+    let mut values = vec![1.0f32; n as usize];
+    let mut accum = vec![0.0f32; n as usize];
+    let mut touched = Frontier::empty(n);
     let edges = g.edges().to_vec();
     group.throughput(Throughput::Elements(edges.len() as u64));
     group.bench_function("scatter_pagerank_400k_edges", |b| {
-        b.iter(|| scatter_edges(&pr, &ctx, &edges, None, &values, &accum, &touched))
+        b.iter(|| scatter_edges(&pr, &ctx, &edges, None, &values, &mut accum, &mut touched))
     });
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("apply_pagerank_50k_vertices", |b| {
         b.iter(|| {
-            let out = Frontier::empty(n);
-            apply_range(&pr, &ctx, 0..n, true, &touched, &accum, &values, &out)
+            let mut out = Frontier::empty(n);
+            apply_range(
+                &pr,
+                &ctx,
+                0..n,
+                true,
+                &touched,
+                &mut accum,
+                &mut values,
+                &mut out,
+            )
         })
     });
     group.finish();
@@ -127,21 +136,6 @@ fn bench_integrity(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_value_array(c: &mut Criterion) {
-    let mut group = c.benchmark_group("value_array");
-    let arr = ValueArray::<f32>::new(1_000_000, 0.0);
-    group.throughput(Throughput::Elements(1_000_000));
-    group.bench_function("combine_sum_1m", |b| {
-        b.iter(|| {
-            for v in 0..1_000_000u32 {
-                arr.combine(v, 1.0, |a, b| a + b);
-            }
-        })
-    });
-    group.bench_function("fill_1m", |b| b.iter(|| arr.fill(0.0)));
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_partitioning,
@@ -149,7 +143,6 @@ criterion_group!(
     bench_kernels,
     bench_scheduler,
     bench_sim_disk,
-    bench_integrity,
-    bench_value_array
+    bench_integrity
 );
 criterion_main!(benches);

@@ -3,16 +3,12 @@
 //!
 //! ## State layout
 //!
-//! The engine keeps double-buffered committed values (`values_prev` =
-//! `val_{t−1}` read by normal scatter; `values_cur` = `val_t` written by
-//! `apply` and read by cross-iteration scatter) and double-buffered
-//! accumulators (`accum_cur` for the iteration being computed, `accum_next`
-//! receiving cross-iteration contributions for the following one). At the
-//! end of each committed iteration the pairs rotate. This realizes the
-//! paper's BSP guarantee: a cross-iteration update of edge `(u, v)` always
-//! reads `val_t(u)` — the same value a normal iteration-`t+1` scatter would
-//! read — so committed values are schedule-identical to the reference
-//! executor's.
+//! The engine's vertex state is a [`BspState`]: double-buffered committed
+//! values and accumulators that rotate at the end of each committed
+//! iteration. This realizes the paper's BSP guarantee: a cross-iteration
+//! update of edge `(u, v)` always reads `val_t(u)` — the same value a
+//! normal iteration-`t+1` scatter would read — so committed values are
+//! schedule-identical to the reference executor's.
 //!
 //! ## Frontier bookkeeping (Algorithm 1)
 //!
@@ -29,11 +25,11 @@ use crate::scheduler::{Scheduler, SchedulerDecision};
 use gsd_graph::{Edge, GridGraph};
 use gsd_io::{DiskModel, IoStatsSnapshot};
 use gsd_pipeline::{PrefetchExecutor, PrefetchRequest, Prefetched};
-use gsd_recover::{graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag};
+use gsd_recover::{CheckpointData, CheckpointDriver};
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed, timed};
 use gsd_runtime::{
-    Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, Value, ValueArray, VertexProgram, VertexValueFile,
+    BspState, Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext,
+    RunOptions, RunResult, RunStats, VertexProgram, VertexValueFile,
 };
 use gsd_trace::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -168,15 +164,6 @@ struct CkptExtra {
     residents: Vec<ResidentBlock>,
 }
 
-/// Per-run checkpoint state: the store plus cadence bookkeeping.
-struct CkptDriver {
-    store: CheckpointStore,
-    every: u32,
-    halt_after: Option<u32>,
-    /// Iteration of the newest committed checkpoint (0 = none yet).
-    last: u32,
-}
-
 struct Runner<'a, P: VertexProgram> {
     grid: &'a GridGraph,
     config: &'a GraphSdConfig,
@@ -186,13 +173,7 @@ struct Runner<'a, P: VertexProgram> {
     n: u32,
     p: u32,
     limit: u32,
-    values_prev: ValueArray<P::Value>,
-    values_cur: ValueArray<P::Value>,
-    accum_cur: ValueArray<P::Accum>,
-    accum_next: ValueArray<P::Accum>,
-    touched_cur: Frontier,
-    touched_next: Frontier,
-    frontier: Frontier,
+    st: BspState<P::Value, P::Accum>,
     vfile: VertexValueFile,
     scheduler: Scheduler,
     buffer: SubBlockBuffer,
@@ -218,8 +199,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         let n = grid.num_vertices();
         let p = grid.p();
         let ctx = ProgramContext::new(n, engine.degrees.clone());
-        let zero = program.zero_accum();
-        let frontier = program.initial_frontier(&ctx).build(n)?;
+        let st = BspState::new(program, &ctx)?;
         let value_bytes = program.value_bytes();
         let vfile = VertexValueFile::ensure(
             grid.storage().as_ref(),
@@ -272,13 +252,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             n,
             p,
             limit: options.limit_for(program),
-            values_prev: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            values_cur: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            accum_cur: ValueArray::new(n as usize, zero),
-            accum_next: ValueArray::new(n as usize, zero),
-            touched_cur: Frontier::empty(n),
-            touched_next: Frontier::empty(n),
-            frontier,
+            st,
             vfile,
             scheduler,
             buffer,
@@ -320,39 +294,25 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         // as an uninterrupted one).
         let mut iter = 1u32;
         let mut base_io = IoStatsSnapshot::default();
-        let mut ckpt: Option<CkptDriver> = None;
+        let mut ckpt: Option<CheckpointDriver> = None;
         if let Some(cfg) = &self.config.checkpoint {
-            let tag = ManifestTag {
-                engine: "graphsd".to_string(),
-                algorithm: self.program.name().to_string(),
-                value_bytes: self.program.value_bytes(),
-                num_vertices: self.n,
-                graph_fingerprint: graph_fingerprint(storage.as_ref(), self.grid.prefix())?,
-                config_hash: self.config.semantic_hash(),
-            };
-            let mut store = CheckpointStore::new(
-                storage.clone(),
-                format!("{}{}", self.grid.prefix(), cfg.dir),
-                cfg.retain,
-                tag,
-            );
-            store.set_trace(self.trace.clone());
-            let mut last = 0u32;
-            if cfg.resume {
-                if let Some(data) = store.latest()? {
-                    store.check_dimensions(&data, self.n)?;
-                    self.restore(&data)?;
-                    base_io = data.stats.io;
-                    last = data.iteration;
-                    iter = data.iteration + 1;
-                }
+            let (driver, resumed) = CheckpointDriver::open(
+                cfg,
+                &storage,
+                self.grid.prefix(),
+                "graphsd",
+                self.program.name(),
+                self.program.value_bytes(),
+                self.n,
+                self.config.semantic_hash(),
+                self.trace.clone(),
+            )?;
+            if let Some(data) = resumed {
+                self.restore(&data)?;
+                base_io = data.stats.io;
+                iter = data.iteration + 1;
             }
-            ckpt = Some(CkptDriver {
-                store,
-                every: cfg.every,
-                halt_after: cfg.halt_after,
-                last,
-            });
+            ckpt = Some(driver);
         }
         let run_snap = storage.stats().snapshot();
         // Taken after restore: resume-machinery verification (resident
@@ -366,7 +326,8 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         // is empty but whose accumulator is pre-seeded loads no edges at
         // all: it is the fully-served case where SCIU saved the entire
         // iteration's edge I/O.
-        while iter <= self.limit && !(self.frontier.is_empty() && self.touched_cur.is_empty()) {
+        while iter <= self.limit && !(self.st.frontier.is_empty() && self.st.touched_cur.is_empty())
+        {
             let model = self.choose_model(iter);
             if model == IoAccessModel::OnDemand && self.config.enable_selective {
                 self.sciu(iter)?;
@@ -381,19 +342,8 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             // there would double-count the pre-scattered accumulator.
             if let Some(driver) = ckpt.as_mut() {
                 let committed = iter - 1;
-                if committed.saturating_sub(driver.last) >= driver.every {
+                if driver.due(committed) {
                     self.write_checkpoint(driver, committed, base_io, &run_snap, &verify_snap)?;
-                    driver.last = committed;
-                    if driver.halt_after.is_some_and(|halt| committed >= halt) {
-                        // Simulated crash for recovery tests: abort at the
-                        // exact commit point, where storage state equals an
-                        // uninterrupted run's at this boundary (modulo
-                        // checkpoint keys).
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::Interrupted,
-                            format!("simulated crash after checkpoint at iteration {committed}"),
-                        ));
-                    }
                 }
             }
         }
@@ -416,10 +366,9 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         self.stats.cross_iter_edges = self.cross_iter_edges;
         self.stats.buffer_hits = self.buffer.hits;
         self.stats.buffer_hit_bytes = self.buffer.hit_bytes;
-        let values = self.values_prev.snapshot();
         Ok((
             RunResult {
-                values,
+                values: self.st.values_prev,
                 stats: self.stats,
             },
             self.scheduler.decisions,
@@ -434,17 +383,13 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
     /// grid). Called before `run_snap` is taken, so none of the reads here
     /// count toward the run's I/O.
     fn restore(&mut self, data: &CheckpointData) -> std::io::Result<()> {
-        for (v, &bits) in (0u32..).zip(&data.values) {
-            self.values_prev.set(v, P::Value::from_bits(bits));
-        }
-        self.values_cur.copy_from(&self.values_prev);
-        for (v, &bits) in (0u32..).zip(&data.accum) {
-            self.accum_cur.set(v, P::Accum::from_bits(bits));
-        }
-        self.accum_next.fill(self.program.zero_accum());
-        self.frontier = Frontier::from_seeds(self.n, &data.frontier);
-        self.touched_cur = Frontier::from_seeds(self.n, &data.touched);
-        self.touched_next.clear();
+        let st = &mut self.st;
+        data.restore(
+            &mut st.values_prev,
+            &mut st.accum_cur,
+            &mut st.frontier,
+            &mut st.touched_cur,
+        );
         self.stats = data.stats.clone();
         self.cross_iter_edges = data.stats.cross_iter_edges;
         let extra: CkptExtra = serde_json::from_slice(&data.extra).map_err(|e| {
@@ -469,12 +414,13 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
     }
 
     /// Commits a checkpoint of the current boundary state through
-    /// `driver.store`. The stored `stats.io` is what an uninterrupted run
-    /// would report at this boundary: the restored base plus this run's
-    /// delta, minus the store's own commit traffic.
+    /// `driver` (which may then simulate a crash). The stored `stats.io`
+    /// is what an uninterrupted run would report at this boundary: the
+    /// restored base plus this run's delta, minus the store's own commit
+    /// traffic.
     fn write_checkpoint(
         &mut self,
-        driver: &mut CkptDriver,
+        driver: &mut CheckpointDriver,
         committed: u32,
         base_io: IoStatsSnapshot,
         run_snap: &IoStatsSnapshot,
@@ -507,26 +453,16 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                 })
                 .collect(),
         };
-        let data = CheckpointData {
-            iteration: committed,
-            values: self
-                .values_prev
-                .snapshot()
-                .into_iter()
-                .map(Value::to_bits)
-                .collect(),
-            accum: self
-                .accum_cur
-                .snapshot()
-                .into_iter()
-                .map(Value::to_bits)
-                .collect(),
-            frontier: self.frontier.to_vec(),
-            touched: self.touched_cur.to_vec(),
+        let data = CheckpointData::capture(
+            committed,
+            &self.st.values_prev,
+            &self.st.accum_cur,
+            &self.st.frontier,
+            &self.st.touched_cur,
             stats,
-            extra: serde_json::to_vec(&extra).map_err(std::io::Error::other)?,
-        };
-        driver.store.write(&data)
+            serde_json::to_vec(&extra).map_err(std::io::Error::other)?,
+        );
+        driver.commit(&data)
     }
 
     fn choose_model(&mut self, iteration: u32) -> IoAccessModel {
@@ -537,7 +473,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             return IoAccessModel::Full;
         }
         self.scheduler
-            .select(iteration, &self.frontier, &self.degrees)
+            .select(iteration, &self.st.frontier, &self.degrees)
     }
 
     fn begin_iter(&self, iteration: u32) -> IterTracker {
@@ -603,18 +539,6 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         });
     }
 
-    /// End-of-iteration rotation: committed values advance, the
-    /// next-iteration accumulator becomes current, and `out` becomes the
-    /// frontier.
-    fn rotate(&mut self, out: Frontier) {
-        std::mem::swap(&mut self.values_prev, &mut self.values_cur);
-        std::mem::swap(&mut self.accum_cur, &mut self.accum_next);
-        self.accum_next.fill(self.program.zero_accum());
-        std::mem::swap(&mut self.touched_cur, &mut self.touched_next);
-        self.touched_next.clear();
-        self.frontier = out;
-    }
-
     /// Consumes the next scheduled request from the prefetch pipeline,
     /// folding its wait into the iteration's I/O wall time and its
     /// hit/stall outcome into the tracker. Only called while a schedule
@@ -666,7 +590,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
     /// re-activated vertices whose edges are already in memory.
     fn sciu(&mut self, iter: u32) -> std::io::Result<()> {
         let storage = self.grid.storage().clone();
-        let frontier_size = self.frontier.count();
+        let frontier_size = self.st.frontier.count();
         let mut tracker = self.begin_iter(iter);
 
         // Stream the vertex value array in.
@@ -681,7 +605,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         }
 
         timed(&mut tracker.compute, || {
-            self.values_cur.copy_from(&self.values_prev)
+            self.st.values_cur.copy_from_slice(&self.st.values_prev)
         });
 
         // On-demand load of active edge lists (kept in memory for the
@@ -693,7 +617,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         let mut runs: Vec<PrefetchRequest> = Vec::new();
         for i in 0..self.p {
             let range = self.grid.intervals().range(i);
-            let active: Vec<u32> = self.frontier.iter_range(range).collect();
+            let active: Vec<u32> = self.st.frontier.iter_range(range).collect();
             if active.is_empty() {
                 continue;
             }
@@ -802,28 +726,28 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
 
         // UserFunction over the loaded active edges (sources are active by
         // construction, no filter needed).
-        let out = timed(&mut tracker.compute, || {
+        let mut out = timed(&mut tracker.compute, || {
             scatter_edges_timed(
                 self.program,
                 &self.ctx,
                 &loaded,
                 None,
-                &self.values_prev,
-                &self.accum_cur,
-                &self.touched_cur,
+                &self.st.values_prev,
+                &mut self.st.accum_cur,
+                &mut self.st.touched_cur,
                 &mut tracker.scatter,
             );
             // Apply at the barrier.
-            let out = Frontier::empty(self.n);
+            let mut out = Frontier::empty(self.n);
             apply_range_timed(
                 self.program,
                 &self.ctx,
                 0..self.n,
                 self.program.apply_all(),
-                &self.touched_cur,
-                &self.accum_cur,
-                &self.values_cur,
-                &out,
+                &self.st.touched_cur,
+                &mut self.st.accum_cur,
+                &mut self.st.values_cur,
+                &mut out,
                 &mut tracker.apply,
             );
             out
@@ -840,14 +764,17 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                     &self.ctx,
                     &loaded,
                     Some(&out),
-                    &self.values_cur,
-                    &self.accum_next,
-                    &self.touched_next,
+                    &self.st.values_cur,
+                    &mut self.st.accum_next,
+                    &mut self.st.touched_next,
                     &mut tracker.scatter,
                 );
                 // Remove every re-activated vertex (out ∩ V_active) — its
                 // next-iteration scatter has been fully performed.
-                let served: Vec<u32> = out.iter().filter(|&v| self.frontier.contains(v)).collect();
+                let served: Vec<u32> = out
+                    .iter()
+                    .filter(|&v| self.st.frontier.contains(v))
+                    .collect();
                 for v in served {
                     out.remove(v);
                 }
@@ -878,7 +805,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             });
         }
 
-        self.rotate(out);
+        self.st.rotate(out);
         self.finish_iter(tracker, iter, IoAccessModel::OnDemand, frontier_size, false);
         Ok(())
     }
@@ -894,7 +821,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         let storage = self.grid.storage().clone();
 
         // ---------------- pass 1: iteration `iter` ----------------
-        let frontier_size = self.frontier.count();
+        let frontier_size = self.st.frontier.count();
         let mut tracker = self.begin_iter(iter);
 
         timed(&mut tracker.io_wall, || {
@@ -908,7 +835,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         }
 
         timed(&mut tracker.compute, || {
-            self.values_cur.copy_from(&self.values_prev)
+            self.st.values_cur.copy_from_slice(&self.st.values_prev)
         });
 
         // Prefetch plan for the pass: every sub-block that will stream
@@ -936,7 +863,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             }
         }
 
-        let out = Frontier::empty(self.n);
+        let mut out = Frontier::empty(self.n);
         let mut pass_edges_served = 0u64;
         for j in 0..self.p {
             let mut diag_edges: Option<Arc<Vec<Edge>>> = None;
@@ -974,10 +901,10 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                         self.program,
                         &self.ctx,
                         &edges,
-                        Some(&self.frontier),
-                        &self.values_prev,
-                        &self.accum_cur,
-                        &self.touched_cur,
+                        Some(&self.st.frontier),
+                        &self.st.values_prev,
+                        &mut self.st.accum_cur,
+                        &mut self.st.touched_cur,
                         &mut tracker.scatter,
                     );
                     if two_pass {
@@ -990,9 +917,9 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                                 &self.ctx,
                                 &edges,
                                 Some(&out),
-                                &self.values_cur,
-                                &self.accum_next,
-                                &self.touched_next,
+                                &self.st.values_cur,
+                                &mut self.st.accum_next,
+                                &mut self.st.touched_next,
                                 &mut tracker.scatter,
                             );
                             self.cross_iter_edges += served;
@@ -1016,10 +943,10 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                     &self.ctx,
                     self.grid.intervals().range(j),
                     self.program.apply_all(),
-                    &self.touched_cur,
-                    &self.accum_cur,
-                    &self.values_cur,
-                    &out,
+                    &self.st.touched_cur,
+                    &mut self.st.accum_cur,
+                    &mut self.st.values_cur,
+                    &mut out,
                     &mut tracker.apply,
                 );
                 // Diagonal cross-iteration after interval j's values are
@@ -1030,9 +957,9 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                         &self.ctx,
                         &diag,
                         Some(&out),
-                        &self.values_cur,
-                        &self.accum_next,
-                        &self.touched_next,
+                        &self.st.values_cur,
+                        &mut self.st.accum_next,
+                        &mut self.st.touched_next,
                         &mut tracker.scatter,
                     );
                     self.cross_iter_edges += served;
@@ -1057,10 +984,10 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             });
         }
 
-        self.rotate(out);
+        self.st.rotate(out);
         self.finish_iter(tracker, iter, IoAccessModel::Full, frontier_size, false);
 
-        if !two_pass || self.frontier.is_empty() {
+        if !two_pass || self.st.frontier.is_empty() {
             // Converged at `iter` (or single-pass mode): any pre-scattered
             // next-iteration state is vacuous because it can only originate
             // from `out` members.
@@ -1071,7 +998,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         // Only the secondary sub-blocks (i > j) are read; contributions
         // along i ≤ j edges were pre-scattered and live in `accum_cur`
         // after the rotation.
-        let frontier_size2 = self.frontier.count();
+        let frontier_size2 = self.st.frontier.count();
         let mut tracker = self.begin_iter(iter + 1);
 
         timed(&mut tracker.io_wall, || {
@@ -1085,7 +1012,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         }
 
         timed(&mut tracker.compute, || {
-            self.values_cur.copy_from(&self.values_prev)
+            self.st.values_cur.copy_from_slice(&self.st.values_prev)
         });
 
         // The second pass streams only the secondary sub-blocks that are
@@ -1111,7 +1038,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             }
         }
 
-        let out = Frontier::empty(self.n);
+        let mut out = Frontier::empty(self.n);
         for j in 0..self.p {
             for i in (j + 1)..self.p {
                 if self.grid.meta().block_edge_count(i, j) == 0 {
@@ -1145,10 +1072,10 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                         self.program,
                         &self.ctx,
                         &edges,
-                        Some(&self.frontier),
-                        &self.values_prev,
-                        &self.accum_cur,
-                        &self.touched_cur,
+                        Some(&self.st.frontier),
+                        &self.st.values_prev,
+                        &mut self.st.accum_cur,
+                        &mut self.st.touched_cur,
                         &mut tracker.scatter,
                     )
                 });
@@ -1159,10 +1086,10 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                     &self.ctx,
                     self.grid.intervals().range(j),
                     self.program.apply_all(),
-                    &self.touched_cur,
-                    &self.accum_cur,
-                    &self.values_cur,
-                    &out,
+                    &self.st.touched_cur,
+                    &mut self.st.accum_cur,
+                    &mut self.st.values_cur,
+                    &mut out,
                     &mut tracker.apply,
                 )
             });
@@ -1178,7 +1105,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             });
         }
 
-        self.rotate(out);
+        self.st.rotate(out);
         self.finish_iter(tracker, iter + 1, IoAccessModel::Full, frontier_size2, true);
         Ok(2)
     }

@@ -190,7 +190,7 @@ mod tests {
         // 100k contiguous vertices of degree 50: one 40MB run.
         let n = 1_000_000u32;
         let degrees = vec![50u32; n as usize];
-        let frontier = Frontier::empty(n);
+        let mut frontier = Frontier::empty(n);
         for v in 0..100_000 {
             frontier.insert(v);
         }
@@ -204,7 +204,7 @@ mod tests {
         let s = scheduler();
         let n = 1_000_000u32;
         let degrees = vec![50u32; n as usize];
-        let frontier = Frontier::empty(n);
+        let mut frontier = Frontier::empty(n);
         for k in 0..1000 {
             frontier.insert(k * 997); // scattered
         }
@@ -233,7 +233,7 @@ mod tests {
         let small = Frontier::from_seeds(n, &[1, 5000, 100_000]);
         assert_eq!(s.select(1, &small, &degrees), IoAccessModel::OnDemand);
 
-        let big = Frontier::empty(n);
+        let mut big = Frontier::empty(n);
         for k in 0..300_000 {
             big.insert(((k * 7) % n as u64) as u32); // scattered, 300k actives
         }

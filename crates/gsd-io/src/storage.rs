@@ -25,7 +25,7 @@ pub type SharedStorage = Arc<dyn Storage>;
 /// sequential/random classification.
 ///
 /// All methods take `&self`; implementations are internally synchronized so
-/// engines can issue requests from rayon worker threads directly.
+/// prefetch worker threads and the engine thread can share one handle.
 pub trait Storage: Send + Sync {
     /// Creates (or atomically replaces) the object `key` with `data`.
     fn create(&self, key: &str, data: &[u8]) -> crate::Result<()>;

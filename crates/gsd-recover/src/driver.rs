@@ -1,33 +1,37 @@
-//! Shared checkpoint/resume plumbing for the baseline engines.
+//! The per-run checkpoint driver every out-of-core engine shares.
 //!
-//! The baselines honour the same fault-tolerance contract as the GraphSD
-//! engine (see `gsd-recover`): checkpoints land only on driver-loop
-//! boundaries, resume is bit-identical to an uninterrupted run, and
-//! checkpoint traffic is excluded from the run's reported `stats.io`.
-//! Baselines have no semantically relevant configuration knobs, so their
-//! manifest `config_hash` is a constant.
+//! Engines honour one fault-tolerance contract: checkpoints land only on
+//! driver-loop boundaries, resume is bit-identical to an uninterrupted
+//! run, and checkpoint traffic is excluded from the run's reported
+//! `stats.io`. [`CheckpointDriver`] owns the store, the cadence and the
+//! simulated-crash switch; the engine supplies the boundary state.
 
+use crate::config::RecoveryConfig;
+use crate::manifest::ManifestTag;
+use crate::snapshot::CheckpointData;
+use crate::store::{graph_fingerprint, CheckpointStore};
 use gsd_io::SharedStorage;
-use gsd_recover::{
-    graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
-};
 use gsd_trace::TraceSink;
 use std::sync::Arc;
 
 /// Per-run checkpoint driver: owns the store, tracks cadence and the
 /// simulated-crash switch.
-pub(crate) struct BaselineCkpt {
+pub struct CheckpointDriver {
     /// The underlying store (exposes `io()` for accounting exclusion).
     pub store: CheckpointStore,
     every: u32,
     halt_after: Option<u32>,
+    /// Iteration of the newest committed checkpoint (0 = none yet).
     last: u32,
 }
 
-impl BaselineCkpt {
-    /// Opens the store under `{grid_prefix}{cfg.dir}` and, when resume is
-    /// enabled, loads the latest valid checkpoint (dimension-checked
-    /// against `n`). Returns the driver plus the state to restore, if any.
+impl CheckpointDriver {
+    /// Opens the store under `{grid_prefix}{cfg.dir}` for the run tagged
+    /// by `engine`, `algorithm`, `value_bytes`, `n` and `config_hash`
+    /// (the hash of the engine's semantically relevant knobs; 0 for
+    /// engines without any) and, when resume is enabled, loads the latest
+    /// valid checkpoint (dimension-checked against `n`). Returns the
+    /// driver plus the state to restore, if any.
     #[allow(clippy::too_many_arguments)]
     pub fn open(
         cfg: &RecoveryConfig,
@@ -37,6 +41,7 @@ impl BaselineCkpt {
         algorithm: &str,
         value_bytes: u64,
         n: u32,
+        config_hash: u64,
         trace: Arc<dyn TraceSink>,
     ) -> std::io::Result<(Self, Option<CheckpointData>)> {
         let tag = ManifestTag {
@@ -45,7 +50,7 @@ impl BaselineCkpt {
             value_bytes,
             num_vertices: n,
             graph_fingerprint: graph_fingerprint(storage.as_ref(), grid_prefix)?,
-            config_hash: 0,
+            config_hash,
         };
         let mut store = CheckpointStore::new(
             storage.clone(),
@@ -63,7 +68,7 @@ impl BaselineCkpt {
         }
         let last = resumed.as_ref().map_or(0, |d| d.iteration);
         Ok((
-            BaselineCkpt {
+            CheckpointDriver {
                 store,
                 every: cfg.every,
                 halt_after: cfg.halt_after,
@@ -80,7 +85,8 @@ impl BaselineCkpt {
 
     /// Commits `data`, then — if `halt_after` is armed and reached —
     /// simulates a crash by failing with `ErrorKind::Interrupted` at the
-    /// exact commit point.
+    /// exact commit point, where storage state equals an uninterrupted
+    /// run's at this boundary (modulo checkpoint keys).
     pub fn commit(&mut self, data: &CheckpointData) -> std::io::Result<()> {
         self.store.write(data)?;
         self.last = data.iteration;

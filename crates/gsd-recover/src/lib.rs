@@ -15,9 +15,10 @@
 //!   and iteration number is the commit point. Stale checkpoints are
 //!   garbage-collected by a keep-last-K retention policy.
 //! * **Recovery** — engines accept a [`RecoveryConfig`]
-//!   (`GSD_CKPT_EVERY`/`GSD_CKPT_DIR` env defaults) and resume from the
-//!   latest manifest whose fingerprints match, producing bit-identical
-//!   final values to an uninterrupted run.
+//!   (`GSD_CKPT_EVERY`/`GSD_CKPT_DIR` env defaults), drive cadence and
+//!   resume through one [`CheckpointDriver`], and resume from the latest
+//!   manifest whose fingerprints match, producing bit-identical final
+//!   values to an uninterrupted run.
 //! * **Fault injection + retry** — [`FaultyStorage`] injects
 //!   deterministic, seed-driven transient and permanent I/O errors over
 //!   any [`gsd_io::Storage`]; [`RetryingStorage`] retries the retryable
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod driver;
 pub mod fault;
 pub mod hash;
 pub mod manifest;
@@ -37,6 +39,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use config::RecoveryConfig;
+pub use driver::CheckpointDriver;
 pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage};
 pub use hash::{crc32, fnv64};
 pub use manifest::{Manifest, ManifestTag, MANIFEST_VERSION};

@@ -15,7 +15,7 @@
 //! `gsd_runtime::Value::to_bits`, which is what makes resumed runs
 //! *bit-identical* — no float round-trips through text.
 
-use gsd_runtime::RunStats;
+use gsd_runtime::{Frontier, RunStats, Value};
 use std::io::{Error, ErrorKind};
 
 const MAGIC: &[u8; 8] = b"GSDSNAP1";
@@ -207,6 +207,48 @@ impl CheckpointData {
             extra: extra.ok_or_else(|| corrupt("missing section extra"))?,
         })
     }
+
+    /// Captures an engine's boundary state: committed `values`, the
+    /// pre-seeded `accum`, the `frontier`, and the `touched` recipients of
+    /// that accumulator, encoded as bit patterns and sorted member lists.
+    pub fn capture<V: Value, A: Value>(
+        iteration: u32,
+        values: &[V],
+        accum: &[A],
+        frontier: &Frontier,
+        touched: &Frontier,
+        stats: RunStats,
+        extra: Vec<u8>,
+    ) -> Self {
+        CheckpointData {
+            iteration,
+            values: values.iter().map(|v| v.to_bits()).collect(),
+            accum: accum.iter().map(|a| a.to_bits()).collect(),
+            frontier: frontier.to_vec(),
+            touched: touched.to_vec(),
+            stats,
+            extra,
+        }
+    }
+
+    /// The inverse of [`Self::capture`]: decodes the boundary state into
+    /// an engine's buffers. The sets keep their universe.
+    pub fn restore<V: Value, A: Value>(
+        &self,
+        values: &mut [V],
+        accum: &mut [A],
+        frontier: &mut Frontier,
+        touched: &mut Frontier,
+    ) {
+        for (v, &bits) in values.iter_mut().zip(&self.values) {
+            *v = V::from_bits(bits);
+        }
+        for (a, &bits) in accum.iter_mut().zip(&self.accum) {
+            *a = A::from_bits(bits);
+        }
+        *frontier = Frontier::from_seeds(frontier.universe(), &self.frontier);
+        *touched = Frontier::from_seeds(touched.universe(), &self.touched);
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +276,30 @@ mod tests {
         let blob = data.encode();
         let back = CheckpointData::decode(&blob).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn capture_restore_roundtrips_packed_pairs() {
+        let values = vec![(0.25f32, -1.5f32), (3.0, 0.0)];
+        let accum = vec![(0.0f32, 0.125f32), (-0.0, 2.0)];
+        let frontier = Frontier::from_seeds(2, &[1]);
+        let touched = Frontier::from_seeds(2, &[0, 1]);
+        let stats = RunStats::new("graphsd", "pagerank-delta");
+        let data = CheckpointData::capture(4, &values, &accum, &frontier, &touched, stats, vec![9]);
+        assert_eq!(data.values[0], (0.25f32, -1.5f32).to_bits());
+        assert_eq!(data.frontier, vec![1]);
+        let data = CheckpointData::decode(&data.encode()).unwrap();
+        let mut v = vec![(0.0f32, 0.0f32); 2];
+        let mut a = vec![(0.0f32, 0.0f32); 2];
+        let (mut f, mut t) = (Frontier::empty(2), Frontier::empty(2));
+        data.restore(&mut v, &mut a, &mut f, &mut t);
+        assert_eq!(v, values);
+        assert_eq!(a[1].0.to_bits(), (-0.0f32).to_bits(), "sign bit survives");
+        assert_eq!(a, accum);
+        assert_eq!(f.to_vec(), vec![1]);
+        assert_eq!(t.to_vec(), vec![0, 1]);
+        assert_eq!(data.iteration, 4);
+        assert_eq!(data.extra, vec![9]);
     }
 
     #[test]

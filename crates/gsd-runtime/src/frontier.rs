@@ -1,47 +1,44 @@
-//! Atomic bitset frontiers — the `V_active`, `Out` and `OutNI` sets of the
+//! Bitset frontiers — the `V_active`, `Out` and `OutNI` sets of the
 //! paper's Algorithm 1.
 //!
-//! Insertions are thread-safe (`Relaxed` fetch-or: pure data, synchronized
-//! by the surrounding phase barriers); iteration and counting take `&self`
-//! and observe whatever has been published, which engines only do between
-//! phases.
+//! A plain `u64`-word bitset with one writer: mutators take `&mut self`,
+//! and iteration is always ascending, so every engine visits members in
+//! the same order on every run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A fixed-universe set of vertex ids backed by an atomic bitset.
+/// A fixed-universe set of vertex ids backed by a bitset.
+#[derive(Clone)]
 pub struct Frontier {
-    words: Vec<AtomicU64>,
+    words: Vec<u64>,
     universe: u32,
 }
 
 impl Frontier {
     /// Empty frontier over `0..universe`.
     pub fn empty(universe: u32) -> Self {
-        let words = (universe as usize).div_ceil(64);
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
-        Frontier { words: v, universe }
+        Frontier {
+            words: vec![0; (universe as usize).div_ceil(64)],
+            universe,
+        }
     }
 
     /// Full frontier over `0..universe`.
     pub fn full(universe: u32) -> Self {
-        let f = Frontier::empty(universe);
-        for (w, word) in f.words.iter().enumerate() {
+        let mut f = Frontier::empty(universe);
+        for (w, word) in f.words.iter_mut().enumerate() {
             let base = (w * 64) as u32;
             let bits_in_word = (universe.saturating_sub(base)).min(64);
-            let mask = if bits_in_word == 64 {
+            *word = if bits_in_word == 64 {
                 u64::MAX
             } else {
                 (1u64 << bits_in_word) - 1
             };
-            word.store(mask, Ordering::Relaxed);
         }
         f
     }
 
     /// Frontier containing exactly `seeds`.
     pub fn from_seeds(universe: u32, seeds: &[u32]) -> Self {
-        let f = Frontier::empty(universe);
+        let mut f = Frontier::empty(universe);
         for &s in seeds {
             f.insert(s);
         }
@@ -55,74 +52,56 @@ impl Frontier {
 
     /// Inserts `v`; returns `true` if it was newly inserted.
     #[inline]
-    pub fn insert(&self, v: u32) -> bool {
+    pub fn insert(&mut self, v: u32) -> bool {
         debug_assert!(
             v < self.universe,
             "vertex {v} outside universe {}",
             self.universe
         );
         let bit = 1u64 << (v % 64);
-        let prev = self.words[v as usize / 64].fetch_or(bit, Ordering::Relaxed);
-        prev & bit == 0
+        let word = &mut self.words[v as usize / 64];
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
     /// Removes `v`; returns `true` if it was present.
     #[inline]
-    pub fn remove(&self, v: u32) -> bool {
+    pub fn remove(&mut self, v: u32) -> bool {
         debug_assert!(v < self.universe);
         let bit = 1u64 << (v % 64);
-        let prev = self.words[v as usize / 64].fetch_and(!bit, Ordering::Relaxed);
-        prev & bit != 0
+        let word = &mut self.words[v as usize / 64];
+        let present = *word & bit != 0;
+        *word &= !bit;
+        present
     }
 
     /// Membership test.
     #[inline]
     pub fn contains(&self, v: u32) -> bool {
         debug_assert!(v < self.universe);
-        self.words[v as usize / 64].load(Ordering::Relaxed) & (1u64 << (v % 64)) != 0
+        self.words[v as usize / 64] & (1u64 << (v % 64)) != 0
     }
 
     /// Number of members (popcount scan, `O(universe/64)`).
     pub fn count(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as u64)
-            .sum()
+        self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Clears all bits.
-    pub fn clear(&self) {
-        for w in &self.words {
-            w.store(0, Ordering::Relaxed);
-        }
+    pub fn clear(&mut self) {
+        self.words.fill(0);
     }
 
-    /// Copies all bits from `other` (same universe required).
-    pub fn copy_from(&self, other: &Frontier) {
-        assert_eq!(self.universe, other.universe);
-        for (dst, src) in self.words.iter().zip(other.words.iter()) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Adds every member of `other` (same universe required).
-    pub fn union_with(&self, other: &Frontier) {
-        assert_eq!(self.universe, other.universe);
-        for (dst, src) in self.words.iter().zip(other.words.iter()) {
-            dst.fetch_or(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Iterates members in ascending order. The set must not be mutated
-    /// concurrently for a consistent view.
+    /// Iterates members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, word)| {
-            let mut bits = word.load(Ordering::Relaxed);
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut bits = word;
             std::iter::from_fn(move || {
                 if bits == 0 {
                     return None;
@@ -158,21 +137,13 @@ impl std::fmt::Debug for Frontier {
     }
 }
 
-impl Clone for Frontier {
-    fn clone(&self) -> Self {
-        let f = Frontier::empty(self.universe);
-        f.copy_from(self);
-        f
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn insert_contains_remove() {
-        let f = Frontier::empty(100);
+        let mut f = Frontier::empty(100);
         assert!(f.insert(5));
         assert!(!f.insert(5), "second insert reports already-present");
         assert!(f.contains(5));
@@ -212,45 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn union_and_copy() {
-        let a = Frontier::from_seeds(100, &[1, 2]);
-        let b = Frontier::from_seeds(100, &[2, 3]);
-        a.union_with(&b);
-        assert_eq!(a.to_vec(), vec![1, 2, 3]);
-        let c = Frontier::empty(100);
-        c.copy_from(&a);
-        assert_eq!(c.to_vec(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn concurrent_inserts_count_once() {
-        let f = std::sync::Arc::new(Frontier::empty(64));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let f = f.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut new = 0;
-                for v in 0..64 {
-                    if f.insert(v) {
-                        new += 1;
-                    }
-                }
-                new
-            }));
-        }
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(
-            total, 64,
-            "each bit newly inserted exactly once across threads"
-        );
-        assert_eq!(f.count(), 64);
-    }
-
-    #[test]
     fn clone_is_independent() {
-        let a = Frontier::from_seeds(10, &[1]);
+        let mut a = Frontier::from_seeds(10, &[1]);
         let b = a.clone();
         a.insert(2);
         assert!(!b.contains(2));
+    }
+
+    #[test]
+    fn clear_empties_every_word() {
+        let mut f = Frontier::full(130);
+        f.clear();
+        assert!(f.is_empty());
+        assert_eq!(f.universe(), 130);
     }
 }

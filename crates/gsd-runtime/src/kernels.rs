@@ -1,18 +1,13 @@
-//! Parallel scatter/apply kernels shared by every out-of-core engine.
+//! Scatter/apply kernels shared by every out-of-core engine.
 //!
-//! Both kernels are rayon data-parallel loops over shared atomic state
-//! ([`ValueArray`], [`Frontier`]); correctness under any schedule follows
-//! from the [`crate::VertexProgram`] contract (commutative/associative
-//! `combine`) and the CAS combine loop. The rayon joins at the end of each
-//! call are the happens-before edges that publish the results to the next
-//! phase.
+//! Both kernels are single-writer loops over plain state: `scatter_edges`
+//! visits edges in slice order and `apply_range` visits vertices in
+//! ascending id order, so float sums are bit-identical from run to run.
 
 use crate::context::ProgramContext;
 use crate::frontier::Frontier;
 use crate::program::VertexProgram;
-use crate::values::ValueArray;
 use gsd_graph::Edge;
-use rayon::prelude::*;
 
 /// Re-exported clock primitives: this module is the designated timing
 /// module of the engine layer (`gsd-lint` GSD002) — engines route every
@@ -20,10 +15,6 @@ use rayon::prelude::*;
 /// [`apply_range_timed`] rather than reading `std::time::Instant` directly,
 /// so a grep for raw clock access in engine code comes up empty.
 pub use gsd_trace::clock::{timed, Stopwatch};
-
-/// Edges per rayon task; large enough to amortize scheduling, small enough
-/// to balance skewed blocks.
-const EDGE_CHUNK: usize = 4096;
 
 /// Scatters `edges` (the paper's `UserFunction` / `CrossIterUpdate` inner
 /// loop): for every edge whose source passes `source_filter`, produce a
@@ -35,30 +26,26 @@ pub fn scatter_edges<P: VertexProgram>(
     ctx: &ProgramContext,
     edges: &[Edge],
     source_filter: Option<&Frontier>,
-    source_values: &ValueArray<P::Value>,
-    accum: &ValueArray<P::Accum>,
-    touched: &Frontier,
+    source_values: &[P::Value],
+    accum: &mut [P::Accum],
+    touched: &mut Frontier,
 ) -> u64 {
-    edges
-        .par_chunks(EDGE_CHUNK)
-        .map(|chunk| {
-            let mut delivered = 0u64;
-            for e in chunk {
-                if let Some(filter) = source_filter {
-                    if !filter.contains(e.src) {
-                        continue;
-                    }
-                }
-                let value = source_values.get(e.src);
-                if let Some(msg) = program.scatter(e.src, value, e.weight, ctx) {
-                    accum.combine(e.dst, msg, |a, b| program.combine(a, b));
-                    touched.insert(e.dst);
-                    delivered += 1;
-                }
+    let mut delivered = 0u64;
+    for e in edges {
+        if let Some(filter) = source_filter {
+            if !filter.contains(e.src) {
+                continue;
             }
-            delivered
-        })
-        .sum()
+        }
+        let value = source_values[e.src as usize];
+        if let Some(msg) = program.scatter(e.src, value, e.weight, ctx) {
+            let a = &mut accum[e.dst as usize];
+            *a = program.combine(*a, msg);
+            touched.insert(e.dst);
+            delivered += 1;
+        }
+    }
+    delivered
 }
 
 /// [`scatter_edges`] with its wall time accumulated into `elapsed`.
@@ -71,9 +58,9 @@ pub fn scatter_edges_timed<P: VertexProgram>(
     ctx: &ProgramContext,
     edges: &[Edge],
     source_filter: Option<&Frontier>,
-    source_values: &ValueArray<P::Value>,
-    accum: &ValueArray<P::Accum>,
-    touched: &Frontier,
+    source_values: &[P::Value],
+    accum: &mut [P::Accum],
+    touched: &mut Frontier,
     elapsed: &mut std::time::Duration,
 ) -> u64 {
     timed(elapsed, || {
@@ -101,30 +88,24 @@ pub fn apply_range<P: VertexProgram>(
     range: std::ops::Range<u32>,
     apply_all: bool,
     touched: &Frontier,
-    accum: &ValueArray<P::Accum>,
-    values: &ValueArray<P::Value>,
-    out: &Frontier,
+    accum: &mut [P::Accum],
+    values: &mut [P::Value],
+    out: &mut Frontier,
 ) -> u64 {
     let zero = program.zero_accum();
-    range
-        .into_par_iter()
-        .with_min_len(1024)
-        .map(|v| {
-            if !apply_all && !touched.contains(v) {
-                return 0u64;
-            }
-            let a = accum.get(v);
-            accum.set(v, zero);
-            match program.apply(v, values.get(v), a, ctx) {
-                Some(new) => {
-                    values.set(v, new);
-                    out.insert(v);
-                    1
-                }
-                None => 0,
-            }
-        })
-        .sum()
+    let mut changed = 0u64;
+    for v in range {
+        if !apply_all && !touched.contains(v) {
+            continue;
+        }
+        let a = std::mem::replace(&mut accum[v as usize], zero);
+        if let Some(new) = program.apply(v, values[v as usize], a, ctx) {
+            values[v as usize] = new;
+            out.insert(v);
+            changed += 1;
+        }
+    }
+    changed
 }
 
 /// [`apply_range`] with its wall time accumulated into `elapsed` (the
@@ -136,9 +117,9 @@ pub fn apply_range_timed<P: VertexProgram>(
     range: std::ops::Range<u32>,
     apply_all: bool,
     touched: &Frontier,
-    accum: &ValueArray<P::Accum>,
-    values: &ValueArray<P::Value>,
-    out: &Frontier,
+    accum: &mut [P::Accum],
+    values: &mut [P::Value],
+    out: &mut Frontier,
     elapsed: &mut std::time::Duration,
 ) -> u64 {
     timed(elapsed, || {
@@ -193,12 +174,20 @@ mod tests {
         let n = 1000u32;
         let ctx = ctx(n);
         let p = InDegree;
-        let values = ValueArray::new(n as usize, 0u32);
-        let accum = ValueArray::new(n as usize, 0u32);
-        let touched = Frontier::empty(n);
-        let delivered = scatter_edges(&p, &ctx, &star_edges(n), None, &values, &accum, &touched);
+        let values = vec![0u32; n as usize];
+        let mut accum = vec![0u32; n as usize];
+        let mut touched = Frontier::empty(n);
+        let delivered = scatter_edges(
+            &p,
+            &ctx,
+            &star_edges(n),
+            None,
+            &values,
+            &mut accum,
+            &mut touched,
+        );
         assert_eq!(delivered, (n - 1) as u64);
-        assert_eq!(accum.get(0), n - 1);
+        assert_eq!(accum[0], n - 1);
         assert_eq!(touched.count(), 1);
     }
 
@@ -207,9 +196,9 @@ mod tests {
         let n = 100u32;
         let ctx = ctx(n);
         let p = InDegree;
-        let values = ValueArray::new(n as usize, 0u32);
-        let accum = ValueArray::new(n as usize, 0u32);
-        let touched = Frontier::empty(n);
+        let values = vec![0u32; n as usize];
+        let mut accum = vec![0u32; n as usize];
+        let mut touched = Frontier::empty(n);
         let filter = Frontier::from_seeds(n, &[1, 2, 3]);
         let delivered = scatter_edges(
             &p,
@@ -217,11 +206,11 @@ mod tests {
             &star_edges(n),
             Some(&filter),
             &values,
-            &accum,
-            &touched,
+            &mut accum,
+            &mut touched,
         );
         assert_eq!(delivered, 3);
-        assert_eq!(accum.get(0), 3);
+        assert_eq!(accum[0], 3);
     }
 
     #[test]
@@ -229,16 +218,25 @@ mod tests {
         let n = 10u32;
         let ctx = ctx(n);
         let p = InDegree;
-        let values = ValueArray::new(n as usize, 0u32);
-        let accum = ValueArray::new(n as usize, 0u32);
-        accum.set(4, 7);
+        let mut values = vec![0u32; n as usize];
+        let mut accum = vec![0u32; n as usize];
+        accum[4] = 7;
         let touched = Frontier::from_seeds(n, &[4, 5]);
-        let out = Frontier::empty(n);
-        let changed = apply_range(&p, &ctx, 0..n, false, &touched, &accum, &values, &out);
+        let mut out = Frontier::empty(n);
+        let changed = apply_range(
+            &p,
+            &ctx,
+            0..n,
+            false,
+            &touched,
+            &mut accum,
+            &mut values,
+            &mut out,
+        );
         // vertex 4 changes; vertex 5 touched but accum 0 -> apply None.
         assert_eq!(changed, 1);
-        assert_eq!(values.get(4), 7);
-        assert_eq!(accum.get(4), 0, "accumulator reset");
+        assert_eq!(values[4], 7);
+        assert_eq!(accum[4], 0, "accumulator reset");
         assert!(out.contains(4));
         assert!(!out.contains(5));
     }
@@ -276,13 +274,22 @@ mod tests {
         }
         let n = 8u32;
         let ctx = ctx(n);
-        let values = ValueArray::new(n as usize, 0u32);
-        let accum = ValueArray::new(n as usize, 0u32);
+        let mut values = vec![0u32; n as usize];
+        let mut accum = vec![0u32; n as usize];
         let touched = Frontier::empty(n);
-        let out = Frontier::empty(n);
-        let changed = apply_range(&SetOne, &ctx, 0..n, true, &touched, &accum, &values, &out);
+        let mut out = Frontier::empty(n);
+        let changed = apply_range(
+            &SetOne,
+            &ctx,
+            0..n,
+            true,
+            &touched,
+            &mut accum,
+            &mut values,
+            &mut out,
+        );
         assert_eq!(changed, n as u64);
-        assert!(values.snapshot().iter().all(|&x| x == 1));
+        assert!(values.iter().all(|&x| x == 1));
     }
 
     #[test]
@@ -290,15 +297,24 @@ mod tests {
         let n = 10u32;
         let ctx = ctx(n);
         let p = InDegree;
-        let values = ValueArray::new(n as usize, 0u32);
-        let accum = ValueArray::new(n as usize, 0u32);
-        accum.set(2, 5);
-        accum.set(8, 5);
+        let mut values = vec![0u32; n as usize];
+        let mut accum = vec![0u32; n as usize];
+        accum[2] = 5;
+        accum[8] = 5;
         let touched = Frontier::from_seeds(n, &[2, 8]);
-        let out = Frontier::empty(n);
-        apply_range(&p, &ctx, 0..5, false, &touched, &accum, &values, &out);
-        assert_eq!(values.get(2), 5);
-        assert_eq!(values.get(8), 0, "outside range untouched");
-        assert_eq!(accum.get(8), 5, "outside range accum preserved");
+        let mut out = Frontier::empty(n);
+        apply_range(
+            &p,
+            &ctx,
+            0..5,
+            false,
+            &touched,
+            &mut accum,
+            &mut values,
+            &mut out,
+        );
+        assert_eq!(values[2], 5);
+        assert_eq!(values[8], 0, "outside range untouched");
+        assert_eq!(accum[8], 5, "outside range accum preserved");
     }
 }

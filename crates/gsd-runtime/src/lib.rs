@@ -10,11 +10,11 @@
 //!   whether the vertex activates). `CrossIterUpdate(u, v, OutNI)` is the
 //!   same `scatter`/`combine` pair executed against the *next* iteration's
 //!   accumulator with the source's *freshly applied* value.
-//! * [`ValueArray`] — dense per-vertex state in `AtomicU64` cells with a
-//!   CAS-loop `combine`, giving data-race-free parallel scatter from rayon
-//!   workers (orderings are `Relaxed`: all cross-thread hand-off happens at
-//!   the phase barriers, see module docs).
-//! * [`Frontier`] — atomic bitset frontiers (`V_active`, `Out`, `OutNI` of
+//! * [`BspState`] — the two-generation vertex state (values, accumulators,
+//!   frontiers) of the cross-iteration engines, held in plain `Vec`s with
+//!   one writer; [`kernels`] scatter and apply over it in a fixed visit
+//!   order, so results are bit-identical run to run.
+//! * [`Frontier`] — bitset frontiers (`V_active`, `Out`, `OutNI` of
 //!   Algorithm 1).
 //! * [`ReferenceEngine`] — an in-memory, strictly-BSP executor used as the
 //!   oracle: every out-of-core engine must produce the same per-iteration
@@ -30,9 +30,9 @@ pub mod frontier;
 pub mod kernels;
 pub mod program;
 pub mod reference;
+pub mod state;
 pub mod stats;
 pub mod value;
-pub mod values;
 pub mod vertex_store;
 
 pub use context::ProgramContext;
@@ -40,7 +40,7 @@ pub use engine::{Capabilities, Engine, RunOptions, RunResult};
 pub use frontier::Frontier;
 pub use program::{InitialFrontier, VertexProgram};
 pub use reference::ReferenceEngine;
+pub use state::BspState;
 pub use stats::{IoAccessModel, IterationStats, RunStats};
 pub use value::Value;
-pub use values::ValueArray;
 pub use vertex_store::VertexValueFile;

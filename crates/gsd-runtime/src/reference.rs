@@ -51,7 +51,7 @@ impl ReferenceEngine {
         let mut values: Vec<P::Value> = (0..n).map(|v| program.init_value(v, &self.ctx)).collect();
         let zero = program.zero_accum();
         let mut accum: Vec<P::Accum> = vec![zero; n as usize];
-        let touched = Frontier::empty(n);
+        let mut touched = Frontier::empty(n);
         let mut frontier = match program.initial_frontier(&self.ctx) {
             InitialFrontier::All => Frontier::full(n),
             InitialFrontier::Seeds(seeds) => Frontier::from_seeds(n, &seeds),
@@ -78,7 +78,7 @@ impl ReferenceEngine {
                 }
             }
             // Apply at the barrier.
-            let next = Frontier::empty(n);
+            let mut next = Frontier::empty(n);
             for v in 0..n {
                 if apply_all || touched.contains(v) {
                     let a = std::mem::replace(&mut accum[v as usize], zero);

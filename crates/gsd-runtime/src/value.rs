@@ -1,14 +1,15 @@
 //! Bit-packable vertex values.
 //!
-//! Vertex values and accumulators live in shared `AtomicU64` arrays (see
-//! [`crate::values::ValueArray`]); any type that round-trips through 64
-//! bits can be stored. Programs define their own packed types (e.g.
-//! PageRank-Delta packs `(rank: f32, delta: f32)`).
+//! Engines hold vertex values and accumulators in plain `Vec`s; the
+//! 64-bit packing is what checkpoints persist (see `gsd-recover`'s
+//! `CheckpointData`) and what value fingerprints hash. Programs define
+//! their own packed types (e.g. PageRank-Delta packs `(rank: f32, delta:
+//! f32)`).
 
-/// A value storable in one `AtomicU64` cell.
+/// A vertex value or accumulator that round-trips through 64 bits.
 ///
 /// `from_bits(to_bits(v)) == v` must hold for every `v` the program
-/// produces. Equality is *bit-level* for the purposes of CAS loops, so
+/// produces. Checkpoints and fingerprints compare *bit patterns*, so
 /// `f32::NAN` values should be avoided (programs here never produce NaN).
 pub trait Value: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
     /// Packs the value into 64 bits.

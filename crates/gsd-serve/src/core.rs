@@ -768,7 +768,7 @@ fn scatter_block(a: &mut ActiveQuery, edges: &[gsd_graph::Edge], degrees: &[u32]
 /// zero values double as the "untouched" marker, so a plain scan over
 /// all vertices applies exactly where the reference engine applies.
 fn apply_round(a: &mut ActiveQuery, n: u32) {
-    let next = Frontier::empty(n);
+    let mut next = Frontier::empty(n);
     match &mut a.state {
         QueryState::KHop { depth, accum } => {
             for v in 0..n as usize {

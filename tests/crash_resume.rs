@@ -16,7 +16,7 @@
 //!   hard kill (`kill_at_op`) recovers through checkpoints with
 //!   identical values.
 
-use graphsd::algos::{Bfs, ConnectedComponents, PageRank, Sssp};
+use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, HusFormat, HusGraphEngine, LumosEngine,
 };
@@ -141,6 +141,32 @@ fn crash_resume_pagerank_rmat() {
     .run(&PageRank::paper(), &RunOptions::default())
     .unwrap();
     assert_crash_resume_matches(&g, 4, &cfg, &PageRank::paper(), &want);
+}
+
+#[test]
+fn crash_resume_pagerank_delta_packed_pairs() {
+    // PR-D packs `(rank, delta)` into `(f32, f32)` values. With the full
+    // system, FCIU rounds pre-scatter with cross-iteration on (the
+    // `dense-pr` program); always-on-demand SCIU serves every
+    // re-activated vertex, so its boundaries carry a pre-seeded
+    // accumulator and recipient set into the checkpoint.
+    let g = GeneratorConfig::new(GraphKind::RMat, 800, 6400, 23).generate();
+    let program = PageRankDelta::paper();
+    for cfg in [GraphSdConfig::full(), GraphSdConfig::b4_always_on_demand()] {
+        assert!(cfg.enable_cross_iter);
+        let want = graphsd_on(&sim_grid(&g, 4), cfg.clone().without_checkpoint())
+            .run(&program, &RunOptions::default())
+            .unwrap();
+        assert!(
+            want.stats.iterations > 2,
+            "PR-D must run several iterations"
+        );
+        assert!(
+            want.stats.cross_iter_edges > 0,
+            "cross-iteration must serve edges"
+        );
+        assert_crash_resume_matches(&g, 4, &cfg, &program, &want);
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@ use graphsd::algos::{Bfs, ConnectedComponents, Sssp};
 use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::delta::{compact, incremental_run, ingest, MutationBatch};
 use graphsd::graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
-use graphsd::io::{MemStorage, SharedStorage, Storage};
+use graphsd::io::{MemStorage, SharedStorage};
 use graphsd::runtime::{Engine, RunOptions, Value, VertexProgram};
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -1,10 +1,10 @@
 //! Model-based property tests for the substrate data structures: the
-//! frontier bitset against a `BTreeSet` model, the atomic value array
-//! against a plain vector, the storage backends' sequential/random
-//! classification, and the I/O cost model's monotonicity.
+//! frontier bitset against a `BTreeSet` model, the storage backends'
+//! sequential/random classification, and the I/O cost model's
+//! monotonicity.
 
 use gsd_io::{DiskModel, IoCostModel, MemStorage, OnDemandCostInputs, SimDisk, Storage};
-use gsd_runtime::{Frontier, ValueArray};
+use gsd_runtime::Frontier;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -31,7 +31,7 @@ proptest! {
 
     #[test]
     fn frontier_behaves_like_a_set(ops in arb_ops(300)) {
-        let frontier = Frontier::empty(300);
+        let mut frontier = Frontier::empty(300);
         let mut model: BTreeSet<u32> = BTreeSet::new();
         for op in ops {
             match op {
@@ -61,21 +61,6 @@ proptest! {
         let got: Vec<u32> = f.iter_range(lo..hi).collect();
         let want: Vec<u32> = seeds.iter().copied().filter(|&v| v >= lo && v < hi).collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn value_array_min_combine_matches_sequential_model(
-        updates in proptest::collection::vec((0u32..64, 0u32..1000), 0..300)
-    ) {
-        let arr = ValueArray::<u32>::new(64, u32::MAX);
-        let mut model = vec![u32::MAX; 64];
-        for (i, v) in updates {
-            let changed = arr.combine(i, v, u32::min);
-            let new = model[i as usize].min(v);
-            prop_assert_eq!(changed, new != model[i as usize]);
-            model[i as usize] = new;
-        }
-        prop_assert_eq!(arr.snapshot(), model);
     }
 
     #[test]
