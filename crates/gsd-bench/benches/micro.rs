@@ -1,15 +1,20 @@
 //! Criterion micro-benchmarks for the hot building blocks: grid
 //! partitioning, frontier operations, the scatter/apply kernels, the
-//! scheduler's S_seq/S_ran split, simulated-disk overhead, and the CRC32
-//! behind verify-on-read.
+//! scheduler's S_seq/S_ran split, simulated-disk overhead, the CRC32
+//! behind verify-on-read, and the two steps of a mutation epoch that
+//! scale with the grid rather than the batch unless kept linear: parsing
+//! the sealed meta and committing a batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gsd_algos::PageRank;
 use gsd_core::Scheduler;
-use gsd_graph::{preprocess, GeneratorConfig, GraphKind, PreprocessConfig};
+use gsd_delta::MutationBatch;
+use gsd_graph::{preprocess, GeneratorConfig, GraphKind, GridMeta, PreprocessConfig, META_KEY};
 use gsd_io::{DiskModel, MemStorage, SimDisk, Storage};
 use gsd_runtime::kernels::{apply_range, scatter_edges};
 use gsd_runtime::{Frontier, ProgramContext};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 fn bench_partitioning(c: &mut Criterion) {
@@ -136,6 +141,52 @@ fn bench_integrity(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_mutation_epoch(c: &mut Criterion) {
+    // kron_sim at the benchmark's scale and layout: 60k vertices, 1.9M
+    // edges, P = 20 degree-balanced intervals (an ~88 KB sealed meta).
+    let g = GeneratorConfig::new(GraphKind::Kronecker, 60_000, 1_900_000, 505).generate();
+    let store = MemStorage::new();
+    let config = PreprocessConfig {
+        degree_balanced: true,
+        ..PreprocessConfig::graphsd("")
+    }
+    .with_intervals(20);
+    preprocess(&g, &store, &config).unwrap();
+    let meta = store.read_all(META_KEY).unwrap();
+
+    let mut group = c.benchmark_group("graph");
+    group.throughput(Throughput::Bytes(meta.len() as u64));
+    group.bench_function("meta_parse", |b| {
+        b.iter(|| GridMeta::from_bytes(&meta).unwrap())
+    });
+    group.finish();
+
+    // 48 random inserts and 16 deletes of existing edges, as one live
+    // serve round commits. Restoring the v2 meta after each commit rolls
+    // the grid back to epoch 0 (the meta is the commit point), so every
+    // iteration commits the same batch against the same state.
+    let mut rng = ChaCha8Rng::seed_from_u64(64);
+    let n = g.num_vertices();
+    let mut batch = MutationBatch::new();
+    for _ in 0..48 {
+        batch.insert(rng.gen_range(0..n), rng.gen_range(0..n), 1.0);
+    }
+    for _ in 0..16 {
+        let e = g.edges()[rng.gen_range(0..g.edges().len())];
+        batch.delete(e.src, e.dst);
+    }
+    let sink = gsd_trace::null_sink();
+    let mut group = c.benchmark_group("delta");
+    group.throughput(Throughput::Elements(batch.ops.len() as u64));
+    group.bench_function("ingest_64", |b| {
+        b.iter(|| {
+            gsd_delta::ingest(&store, "", &batch, sink.as_ref()).unwrap();
+            store.create(META_KEY, &meta).unwrap();
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_partitioning,
@@ -143,6 +194,7 @@ criterion_group!(
     bench_kernels,
     bench_scheduler,
     bench_sim_disk,
-    bench_integrity
+    bench_integrity,
+    bench_mutation_epoch
 );
 criterion_main!(benches);

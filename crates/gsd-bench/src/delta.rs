@@ -112,14 +112,14 @@ fn bench_dataset(ds: &Dataset, warmup: u32, repeats: u32) -> Result<BenchEntry> 
         let report = gsd_delta::ingest(storage.as_ref(), "", &batch, sink.as_ref())?;
         let grid = GridGraph::open(storage.clone())?;
         let (result, inc) = gsd_delta::incremental_run(
-            grid,
+            grid.clone(),
             &Bfs::new(root),
             warm.values,
             &batch,
             GraphSdConfig::full(),
             sink.clone(),
         )?;
-        let compacted = gsd_delta::compact(&storage, "", sink.as_ref())?;
+        let compacted = gsd_delta::compact(&grid, sink.as_ref())?;
         let wall = watch.elapsed().as_micros() as u64;
 
         let folded = compacted.ok_or_else(|| {

@@ -77,15 +77,15 @@ impl GridSession {
     /// verification policy. The serve daemon calls this after committing
     /// a mutation epoch so every subsequent query (and engine) sees the
     /// new delta overlay; previously built engines keep the old handle,
-    /// which is exactly the epoch-consistency contract.
+    /// which is exactly the epoch-consistency contract. The overlay
+    /// advances from the current one ([`GridGraph::reopen`]), so the cost
+    /// follows what the epoch touched, not the whole overlay.
     pub fn reopen(&mut self) -> std::io::Result<()> {
         let (policy, response) = match self.grid.verifier() {
             Some(v) => (v.policy(), v.response()),
             None => (VerifyPolicy::Off, CorruptionResponse::default()),
         };
-        let storage = self.grid.storage().clone();
-        let prefix = self.grid.prefix().to_owned();
-        let mut grid = GridGraph::open_with_prefix(storage, &prefix)?;
+        let mut grid = self.grid.reopen()?;
         if !policy.is_off() {
             grid.set_verification(policy, response)?;
         }

@@ -54,23 +54,26 @@ pub struct IngestReport {
 
 /// Applies `ops` in order to `edges` (insert appends one copy, delete
 /// removes every copy of the pair) without re-sorting — callers that need
-/// canonical order sort afterwards.
-fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
+/// canonical order sort afterwards. Returns the per-source out-degree
+/// change the ops made to this block: +1 per insert, minus the copies
+/// each delete removed, with net-zero sources dropped.
+fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) -> BTreeMap<u32, i64> {
+    let mut diff: BTreeMap<u32, i64> = BTreeMap::new();
     for op in ops {
         match op {
-            DeltaOp::Insert(e) => edges.push(*e),
-            DeltaOp::Delete { src, dst } => edges.retain(|e| e.src != *src || e.dst != *dst),
+            DeltaOp::Insert(e) => {
+                edges.push(*e);
+                *diff.entry(e.src).or_insert(0) += 1;
+            }
+            DeltaOp::Delete { src, dst } => {
+                let before = edges.len();
+                edges.retain(|e| e.src != *src || e.dst != *dst);
+                *diff.entry(*src).or_insert(0) -= (before - edges.len()) as i64;
+            }
         }
     }
-}
-
-/// Per-source edge counts of a block's edge list.
-fn src_counts(edges: &[Edge]) -> BTreeMap<u32, i64> {
-    let mut counts = BTreeMap::new();
-    for e in edges {
-        *counts.entry(e.src).or_insert(0) += 1;
-    }
-    counts
+    diff.retain(|_, d| *d != 0);
+    diff
 }
 
 /// Commits `batch` against the grid under `prefix` as one new epoch.
@@ -87,6 +90,22 @@ pub fn ingest(
     prefix: &str,
     batch: &MutationBatch,
     trace: &dyn TraceSink,
+) -> std::io::Result<IngestReport> {
+    ingest_with(storage, prefix, batch, trace, apply_ops)
+}
+
+/// A block's merge step: applies a batch's ops to the block's current
+/// merged edges and returns the per-source out-degree change.
+type MergeBlock = fn(&mut Vec<Edge>, &[DeltaOp]) -> BTreeMap<u32, i64>;
+
+/// [`ingest`] with the block merge step as a parameter, so tests can
+/// commit the same batch through an independent oracle.
+fn ingest_with(
+    storage: &dyn Storage,
+    prefix: &str,
+    batch: &MutationBatch,
+    trace: &dyn TraceSink,
+    merge_block: MergeBlock,
 ) -> std::io::Result<IngestReport> {
     let meta_bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
     let mut meta = GridMeta::from_bytes(&meta_bytes)?;
@@ -193,8 +212,8 @@ pub fn ingest(
             .extend(segment_ops);
     }
 
-    // Merge each touched block to derive the new merged counts and the
-    // out-degree diff of the batch.
+    // Merge each touched block to derive the new merged counts, and
+    // take the out-degree diff of the batch from its ops.
     let base_degrees = decode_u32s(&storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?)?;
     let mut merged_counts = prior_counts;
     let mut degree_diff: BTreeMap<u32, i64> = BTreeMap::new();
@@ -207,18 +226,10 @@ pub fn ingest(
         if let Some(prior) = prior_ops.get(&(i, j)) {
             apply_ops(&mut edges, prior);
         }
-        let before = src_counts(&edges);
-        apply_ops(&mut edges, block_ops);
-        let after = src_counts(&edges);
-        merged_counts[(i * p + j) as usize] = edges.len() as u64;
-        let touched: std::collections::BTreeSet<u32> =
-            before.keys().chain(after.keys()).copied().collect();
-        for v in touched {
-            let diff = after.get(&v).copied().unwrap_or(0) - before.get(&v).copied().unwrap_or(0);
-            if diff != 0 {
-                *degree_diff.entry(v).or_insert(0) += diff;
-            }
+        for (v, diff) in merge_block(&mut edges, block_ops) {
+            *degree_diff.entry(v).or_insert(0) += diff;
         }
+        merged_counts[(i * p + j) as usize] = edges.len() as u64;
     }
 
     // Absolute merged out-degrees: prior patch extended by this batch.
@@ -309,6 +320,241 @@ mod tests {
         )
         .unwrap();
         (g, storage)
+    }
+
+    /// The degree patch as the histogram diff it was first derived by:
+    /// per-source counts of the whole block before and after the ops.
+    fn oracle_merge(edges: &mut Vec<Edge>, ops: &[DeltaOp]) -> BTreeMap<u32, i64> {
+        fn src_counts(edges: &[Edge]) -> BTreeMap<u32, i64> {
+            let mut counts = BTreeMap::new();
+            for e in edges {
+                *counts.entry(e.src).or_insert(0) += 1;
+            }
+            counts
+        }
+        let before = src_counts(edges);
+        apply_ops(edges, ops);
+        let after = src_counts(edges);
+        let touched: std::collections::BTreeSet<u32> =
+            before.keys().chain(after.keys()).copied().collect();
+        touched
+            .into_iter()
+            .map(|v| {
+                (
+                    v,
+                    after.get(&v).unwrap_or(&0) - before.get(&v).unwrap_or(&0),
+                )
+            })
+            .filter(|&(_, d)| d != 0)
+            .collect()
+    }
+
+    /// A P = 3 grid whose base holds three copies of (2, 3) and two of
+    /// (7, 80), plus the edge list it was built from.
+    fn setup_with_copies() -> (Vec<Edge>, SharedStorage) {
+        let mut edges = GeneratorConfig::new(GraphKind::RMat, 120, 600, 7)
+            .generate()
+            .edges()
+            .to_vec();
+        edges.retain(|e| !matches!((e.src, e.dst), (2, 3) | (7, 80) | (4, 9) | (5, 6)));
+        edges.extend([Edge::new(2, 3), Edge::new(2, 3), Edge::new(2, 3)]);
+        edges.extend([Edge::new(7, 80), Edge::new(7, 80)]);
+        let storage: SharedStorage = Arc::new(MemStorage::new());
+        let graph = gsd_graph::Graph::from_edges(120, edges.clone(), false);
+        preprocess(
+            &graph,
+            storage.as_ref(),
+            &PreprocessConfig::graphsd("").with_intervals(3),
+        )
+        .unwrap();
+        (edges, storage)
+    }
+
+    fn copy_of(storage: &SharedStorage) -> SharedStorage {
+        let copy: SharedStorage = Arc::new(MemStorage::new());
+        for key in storage.list_keys() {
+            copy.create(&key, &storage.read_all(&key).unwrap()).unwrap();
+        }
+        copy
+    }
+
+    #[test]
+    fn degree_patch_from_ops_matches_the_histogram_oracle() {
+        let (mut mirror, storage) = setup_with_copies();
+        let oracle = copy_of(&storage);
+        let sink = gsd_trace::null_sink();
+        let mut batches = Vec::new();
+        // Duplicate inserts.
+        let mut b = MutationBatch::new();
+        b.insert(0, 5, 1.0).insert(0, 5, 1.0).insert(0, 5, 1.0);
+        batches.push(b);
+        // Insert and delete of one pair in one batch: vertex 4 nets zero.
+        let mut b = MutationBatch::new();
+        b.insert(4, 9, 1.0).delete(4, 9);
+        batches.push(b);
+        // A delete removing several base copies, and a source whose +1
+        // in one block and -1 in another cancel across blocks.
+        let mut b = MutationBatch::new();
+        b.delete(2, 3)
+            .insert(7, 5, 1.0)
+            .delete(7, 80)
+            .insert(7, 81, 1.0);
+        batches.push(b);
+        // Ops spanning two epochs: the epoch-1 copies of (0, 5) and a
+        // new pair, removed and re-added one epoch later.
+        let mut b = MutationBatch::new();
+        b.insert(5, 6, 1.0);
+        batches.push(b);
+        let mut b = MutationBatch::new();
+        b.delete(0, 5)
+            .delete(5, 6)
+            .insert(5, 6, 1.0)
+            .insert(0, 5, 1.0);
+        batches.push(b);
+
+        for (k, batch) in batches.iter().enumerate() {
+            ingest(storage.as_ref(), "", batch, sink.as_ref()).unwrap();
+            ingest_with(oracle.as_ref(), "", batch, sink.as_ref(), oracle_merge).unwrap();
+            apply_ops(&mut mirror, &batch.ops);
+            let keys = storage.list_keys();
+            assert_eq!(keys, oracle.list_keys(), "batch {k}: object inventory");
+            for key in &keys {
+                assert_eq!(
+                    storage.read_all(key).unwrap(),
+                    oracle.read_all(key).unwrap(),
+                    "batch {k}: bytes of {key:?}"
+                );
+            }
+            let meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+            let manifest = read_manifest(storage.as_ref(), "", &meta).unwrap();
+            if k == 1 {
+                assert!(
+                    !manifest.degree_vertices.contains(&4),
+                    "a net-zero source stays out of the patch"
+                );
+            }
+            let merged = gsd_graph::Graph::from_edges(120, mirror.clone(), false);
+            let grid = GridGraph::open(storage.clone()).unwrap();
+            assert_eq!(
+                grid.load_out_degrees().unwrap(),
+                merged.out_degrees(),
+                "batch {k}: patched out-degrees"
+            );
+        }
+        // Vertex 7's cross-block cancel keeps its (unchanged) entry, as
+        // the histogram diff always wrote it.
+        let meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        let manifest = read_manifest(storage.as_ref(), "", &meta).unwrap();
+        assert!(manifest.degree_vertices.contains(&7));
+    }
+
+    /// A batch touching exactly sub-blocks `(0, 0)` and `(1, 2)` of the
+    /// P = 3 `setup` grid (intervals of 40 vertices).
+    fn two_block_batch(seed: u32) -> MutationBatch {
+        let mut batch = MutationBatch::new();
+        batch.insert(seed % 40, (seed * 7) % 40, 1.0).insert(
+            40 + seed % 40,
+            80 + (seed * 3) % 40,
+            1.0,
+        );
+        batch
+    }
+
+    #[test]
+    fn advance_shares_untouched_blocks_and_equals_a_cold_open() {
+        let (_, storage) = setup(3);
+        let sink = gsd_trace::null_sink();
+        ingest(storage.as_ref(), "", &two_block_batch(1), sink.as_ref()).unwrap();
+        let served = GridGraph::open(storage.clone()).unwrap();
+        let mut batch = MutationBatch::new();
+        batch.insert(3, 4, 1.0).insert(2, 50, 1.0);
+        ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap();
+        let advanced = served.reopen().unwrap();
+        let cold = GridGraph::open(storage.clone()).unwrap();
+        assert_eq!(advanced.meta(), cold.meta());
+        assert_eq!(advanced.overlay(), cold.overlay());
+        let (before, after) = (served.overlay().unwrap(), advanced.overlay().unwrap());
+        assert_eq!(after.block_count(), 3);
+        // (1, 2) was not touched again: the same block, not a copy.
+        assert!(std::ptr::eq(
+            before.block(1, 2).unwrap(),
+            after.block(1, 2).unwrap()
+        ));
+        // (0, 0) advanced by one segment; (0, 1) is new.
+        assert_eq!(after.block(0, 0).unwrap().segments.len(), 2);
+        assert_eq!(after.block(0, 1).unwrap().segments.len(), 1);
+    }
+
+    #[test]
+    fn advance_fails_on_a_corrupt_new_segment_like_a_cold_open() {
+        let (_, storage) = setup(3);
+        let sink = gsd_trace::null_sink();
+        ingest(storage.as_ref(), "", &two_block_batch(1), sink.as_ref()).unwrap();
+        let served = GridGraph::open(storage.clone()).unwrap();
+        ingest(storage.as_ref(), "", &two_block_batch(2), sink.as_ref()).unwrap();
+        let key = segment_key("", 2, 1, 2);
+        storage.write_at(&key, 22, &[0xFF]).unwrap();
+        let cold = GridGraph::open(storage.clone()).err().unwrap();
+        let advanced = served.reopen().err().unwrap();
+        assert_eq!(advanced.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(advanced.kind(), cold.kind());
+        assert_eq!(advanced.to_string(), cold.to_string());
+        assert!(advanced.to_string().contains(&key), "{advanced}");
+        // The served handle still answers at its own epoch.
+        assert_eq!(served.delta_epoch(), 1);
+    }
+
+    #[test]
+    fn advance_rebuilds_a_block_whose_base_changed() {
+        let (_, storage) = setup(3);
+        let sink = gsd_trace::null_sink();
+        ingest(storage.as_ref(), "", &two_block_batch(1), sink.as_ref()).unwrap();
+        let served = GridGraph::open(storage.clone()).unwrap();
+
+        // Rewrite base block (1, 2) with one edge moved to another
+        // destination of the same interval (same edge count), and reseal
+        // the meta's checksum for it, as a repair to new content would.
+        let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        let rel = block_edges_key("", 1, 2);
+        let codec = meta.codec();
+        let mut edges = codec.decode_all(&storage.read_all(&rel).unwrap());
+        edges[0].dst = if edges[0].dst == 80 { 81 } else { 80 };
+        edges.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()));
+        let payload = codec.encode_all(&edges);
+        storage.create(&rel, &payload).unwrap();
+        let section = meta.integrity.as_ref().unwrap();
+        let objects = section
+            .objects
+            .iter()
+            .map(|o| {
+                if o.key == rel {
+                    ObjectEntry::of(&rel, &payload)
+                } else {
+                    o.clone()
+                }
+            })
+            .collect();
+        meta.integrity = Some(IntegritySection::new(objects));
+        meta.seal();
+        storage.create(META_KEY, &meta.to_bytes()).unwrap();
+
+        let advanced = served.reopen().unwrap();
+        let cold = GridGraph::open(storage.clone()).unwrap();
+        assert_eq!(advanced.overlay(), cold.overlay());
+        let (before, after) = (served.overlay().unwrap(), advanced.overlay().unwrap());
+        assert_ne!(
+            before.block(1, 2).unwrap().bytes,
+            after.block(1, 2).unwrap().bytes
+        );
+        assert_eq!(
+            after.block(1, 2).unwrap().base,
+            Some(ObjectEntry::of(&rel, &payload))
+        );
+        // The untouched-base block is still shared.
+        assert!(std::ptr::eq(
+            before.block(0, 0).unwrap(),
+            after.block(0, 0).unwrap()
+        ));
     }
 
     #[test]

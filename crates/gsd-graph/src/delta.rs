@@ -27,6 +27,13 @@
 //! sub-block without any code of their own. Untouched blocks read from
 //! storage unchanged.
 //!
+//! A served handle advances to the next epoch with
+//! [`GridGraph::reopen`](crate::grid::GridGraph::reopen) instead of
+//! rebuilding: merged blocks the new epoch does not touch are shared,
+//! blocks it extends are re-merged from their merged edges plus the new
+//! ops, and only new segments and newly merged base payloads are read
+//! and verified (see `load_overlay`).
+//!
 //! Because sub-blocks are sorted by the canonical total order
 //! `(src, dst, weight-bits)` (see `preprocess`), the merged payload is
 //! **byte-identical** to what a full re-preprocess of the merged edge
@@ -52,11 +59,13 @@
 use crate::format::{
     block_edges_key, block_index_key, decode_u32s, GridMeta, DELTA_FORMAT_VERSION,
 };
+use crate::partition::Intervals;
 use crate::types::{Edge, VertexId};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Magic prefix of a delta segment payload.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"GSDS";
@@ -315,7 +324,7 @@ pub fn read_manifest(
 }
 
 /// One merged (base + delta) sub-block held in memory by the overlay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlayBlock {
     /// Encoded merged edge payload — byte-identical to what a full
     /// re-preprocess of the merged edge list would write for this block.
@@ -324,19 +333,36 @@ pub struct OverlayBlock {
     pub offsets: Vec<u32>,
     /// Merged edge count.
     pub edge_count: u64,
+    /// The manifest entries of the segments merged in, in epoch order.
+    pub segments: Vec<ObjectEntry>,
+    /// The base `block_edges` entry the segments were merged over (`None`
+    /// on grids without checksums).
+    pub base: Option<ObjectEntry>,
+}
+
+/// One recomputed combined row index.
+#[derive(Debug, Clone, PartialEq)]
+struct OverlayRow {
+    /// `(len(interval) + 1) × P` offsets, vertex-major.
+    offsets: Vec<u32>,
+    /// The base `block_index` entry of every column when the row was
+    /// built: the columns without a merged block come from those objects.
+    base: Vec<Option<ObjectEntry>>,
 }
 
 /// In-memory merge of all live delta segments over their base sub-blocks.
 ///
 /// Immutable once loaded and shared behind an `Arc`, so cloned
 /// [`GridGraph`](crate::grid::GridGraph) handles (engine + pipeline
-/// workers) read it concurrently without locks.
-#[derive(Debug, Default)]
+/// workers) read it concurrently without locks. Blocks and rows sit
+/// behind their own `Arc`s so the overlay of the next epoch shares
+/// every one the new batch did not touch (see `load_overlay`).
+#[derive(Debug, Default, PartialEq)]
 pub struct DeltaOverlay {
-    blocks: BTreeMap<(u32, u32), OverlayBlock>,
-    /// Recomputed combined row indexes (decoded), for rows with >= 1
-    /// merged block (source-sorted indexed formats only).
-    rows: BTreeMap<u32, Vec<u32>>,
+    blocks: BTreeMap<(u32, u32), Arc<OverlayBlock>>,
+    /// Recomputed combined row indexes, for rows with >= 1 merged block
+    /// (source-sorted indexed formats only).
+    rows: BTreeMap<u32, Arc<OverlayRow>>,
     /// Sparse merged out-degree patch over `degrees.bin`.
     degrees: BTreeMap<u32, u32>,
     /// Bytes held across merged payloads + indexes (for cost accounting).
@@ -346,13 +372,13 @@ pub struct DeltaOverlay {
 impl DeltaOverlay {
     /// The merged sub-block `(i, j)`, if this overlay materializes it.
     pub fn block(&self, i: u32, j: u32) -> Option<&OverlayBlock> {
-        self.blocks.get(&(i, j))
+        self.blocks.get(&(i, j)).map(|b| b.as_ref())
     }
 
     /// The recomputed combined row index of interval `i`, if any block
     /// of the row is merged.
     pub fn row(&self, i: u32) -> Option<&[u32]> {
-        self.rows.get(&i).map(|v| v.as_slice())
+        self.rows.get(&i).map(|r| r.offsets.as_slice())
     }
 
     /// Applies the merged out-degree patch to a freshly loaded base
@@ -361,6 +387,14 @@ impl DeltaOverlay {
         for (&v, &d) in &self.degrees {
             degrees[v as usize] = d;
         }
+    }
+
+    /// Every live segment entry the overlay merges, in key order — the
+    /// segment list of the manifest it was loaded from.
+    pub fn segments(&self) -> Vec<&ObjectEntry> {
+        let mut all: Vec<&ObjectEntry> = self.blocks.values().flat_map(|b| &b.segments).collect();
+        all.sort_by(|a, b| a.key.cmp(&b.key));
+        all
     }
 
     /// Number of merged sub-blocks resident in memory.
@@ -391,6 +425,11 @@ fn verify_base_payload(meta: &GridMeta, rel_key: &str, payload: &[u8]) -> std::i
     Ok(())
 }
 
+/// The base integrity entry of `rel_key`, if the meta carries checksums.
+fn base_entry(meta: &GridMeta, rel_key: &str) -> Option<ObjectEntry> {
+    meta.integrity.as_ref()?.lookup(rel_key).cloned()
+}
+
 /// Applies `ops` (in order) to the sorted base edges of one sub-block and
 /// returns the merged edges in canonical `(src, dst, weight-bits)` order
 /// (or `(dst, src, weight-bits)` on dst-sorted formats).
@@ -410,6 +449,36 @@ fn merge_block_edges(base: &[Edge], ops: &[DeltaOp], dst_sorted: bool) -> Vec<Ed
     edges
 }
 
+/// Reads one live segment, checks it against its manifest entry and
+/// decodes it, refusing a header outside the grid or the epoch.
+fn read_segment(
+    storage: &dyn Storage,
+    prefix: &str,
+    entry: &ObjectEntry,
+    p: u32,
+    epoch: u64,
+) -> std::io::Result<(SegmentHeader, Vec<DeltaOp>)> {
+    let payload = storage.read_all(&format!("{prefix}{}", entry.key))?;
+    if ObjectEntry::of(&entry.key, &payload) != *entry {
+        return Err(invalid(format!(
+            "delta segment {:?} failed its manifest checksum",
+            entry.key
+        )));
+    }
+    let (header, ops) = decode_segment(&payload)?;
+    if header.i >= p || header.j >= p || header.epoch > epoch {
+        return Err(invalid(format!(
+            "delta segment {:?} names sub-block ({}, {}) epoch {} outside the grid",
+            entry.key, header.i, header.j, header.epoch
+        )));
+    }
+    Ok((header, ops))
+}
+
+/// One live segment of a block: its entry, and its ops when this load
+/// read them (`None` for a segment a prior overlay already verified).
+type BlockSegment = (ObjectEntry, Option<Vec<DeltaOp>>);
+
 /// Loads the delta overlay named by `meta` and patches the in-memory meta
 /// to the **merged** shape (`num_edges`, `block_edge_counts`), so every
 /// consumer of [`GridMeta`] — engines skipping empty blocks, the
@@ -417,12 +486,31 @@ fn merge_block_edges(base: &[Edge], ops: &[DeltaOp], dst_sorted: bool) -> Vec<Ed
 /// delta as one graph. The on-disk meta keeps base counts; only the
 /// handle's copy is patched.
 ///
+/// `prior` is the overlay of an earlier epoch of the same grid (same
+/// layout), or `None` for a cold open. The result is the same either
+/// way; the prior only saves work:
+///
+/// * a prior block built from exactly the segment entries the manifest
+///   now lists for it, over an unchanged base `block_edges` entry, is
+///   shared as is;
+/// * a prior block whose entries are a prefix of the new list (same base)
+///   is re-merged from its merged edges plus the new segments' ops —
+///   the same bytes, since a merged block is a sorted multiset;
+/// * any other block is rebuilt from its verified base payload.
+///
+/// Every segment a prior did not already verify under the same entry is
+/// read and checked against the manifest, and every base payload merged
+/// anew is verified. A changed row index starts from the prior row (when
+/// its base index entries are unchanged) and replaces only the columns
+/// whose block changed.
+///
 /// Returns `None` (and leaves the meta untouched) when the grid carries
 /// no delta section or no live segments.
 pub(crate) fn load_overlay(
     storage: &dyn Storage,
     prefix: &str,
     meta: &mut GridMeta,
+    prior: Option<&DeltaOverlay>,
 ) -> std::io::Result<Option<DeltaOverlay>> {
     if meta.delta.is_none() {
         return Ok(None);
@@ -435,95 +523,120 @@ pub(crate) fn load_overlay(
     let codec = meta.codec();
     let intervals = meta.intervals();
     let p = meta.p;
+    let empty = DeltaOverlay::default();
+    let prior = prior.unwrap_or(&empty);
 
-    // Verify + decode every live segment, grouping ops per sub-block in
-    // epoch order (manifest entries are key-sorted; the zero-padded epoch
-    // in the key makes that epoch order).
-    let mut per_block: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
+    // Segments the prior verified, by key, with the block they belong to.
+    let known: BTreeMap<&str, (&ObjectEntry, (u32, u32))> = prior
+        .blocks
+        .iter()
+        .flat_map(|(&ij, b)| b.segments.iter().map(move |e| (e.key.as_str(), (e, ij))))
+        .collect();
+
+    // Group every live segment per sub-block in epoch order (manifest
+    // entries are key-sorted; the zero-padded epoch in the key makes
+    // that epoch order). Segments not verified before are read now.
+    let mut per_block: BTreeMap<(u32, u32), Vec<BlockSegment>> = BTreeMap::new();
     for entry in &manifest.segments.objects {
-        let key = format!("{prefix}{}", entry.key);
-        let payload = storage.read_all(&key)?;
-        if ObjectEntry::of(&entry.key, &payload) != *entry {
-            return Err(invalid(format!(
-                "delta segment {:?} failed its manifest checksum",
-                entry.key
-            )));
-        }
-        let (header, ops) = decode_segment(&payload)?;
-        if header.i >= p || header.j >= p || header.epoch > manifest.epoch {
-            return Err(invalid(format!(
-                "delta segment {:?} names sub-block ({}, {}) epoch {} outside the grid",
-                entry.key, header.i, header.j, header.epoch
-            )));
-        }
-        per_block
-            .entry((header.i, header.j))
-            .or_default()
-            .extend(ops);
+        let (ij, ops) = match known.get(entry.key.as_str()) {
+            Some(&(seen, ij)) if seen == entry => (ij, None),
+            _ => {
+                let (header, ops) = read_segment(storage, prefix, entry, p, manifest.epoch)?;
+                ((header.i, header.j), Some(ops))
+            }
+        };
+        per_block.entry(ij).or_default().push((entry.clone(), ops));
     }
 
     let mut overlay = DeltaOverlay::default();
     let mut scratch_counts = meta.block_edge_counts.clone();
-    for (&(i, j), ops) in &per_block {
-        let base_bytes = meta.block_bytes(i, j) as usize;
-        let mut payload = vec![0u8; base_bytes];
-        let key = block_edges_key(prefix, i, j);
-        if base_bytes > 0 {
-            storage.read_at(&key, 0, &mut payload)?;
-        }
-        verify_base_payload(meta, &block_edges_key("", i, j), &payload)?;
-        let merged = merge_block_edges(&codec.decode_all(&payload), ops, meta.dst_sorted);
+    for ((i, j), segments) in per_block {
         let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
-        if merged.len() as u64 != want {
+        let base = base_entry(meta, &block_edges_key("", i, j));
+        let entries: Vec<ObjectEntry> = segments.iter().map(|(e, _)| e.clone()).collect();
+        let carried = prior
+            .blocks
+            .get(&(i, j))
+            .filter(|b| base.is_some() && b.base == base && entries.starts_with(&b.segments));
+        let block = match carried {
+            Some(b) if b.segments.len() == entries.len() => Arc::clone(b),
+            _ => {
+                // Re-merge from the carried merged edges plus the newer
+                // segments, or from the verified base plus all of them.
+                let (edges, newer) = match carried {
+                    Some(b) => (codec.decode_all(&b.bytes), &segments[b.segments.len()..]),
+                    None => {
+                        let mut payload = vec![0u8; meta.block_bytes(i, j) as usize];
+                        if !payload.is_empty() {
+                            storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
+                        }
+                        verify_base_payload(meta, &block_edges_key("", i, j), &payload)?;
+                        (codec.decode_all(&payload), &segments[..])
+                    }
+                };
+                let mut ops = Vec::new();
+                for (entry, read) in newer {
+                    match read {
+                        Some(read) => ops.extend_from_slice(read),
+                        None => {
+                            ops.extend(read_segment(storage, prefix, entry, p, manifest.epoch)?.1)
+                        }
+                    }
+                }
+                let block = merged_block(meta, &intervals, (i, j), &edges, &ops, entries, base);
+                Arc::new(block)
+            }
+        };
+        if block.edge_count != want {
             return Err(invalid(format!(
                 "sub-block ({i}, {j}) merges to {} edges but the delta manifest records {want}",
-                merged.len()
+                block.edge_count
             )));
         }
-        let offsets = if meta.indexed {
-            let indexed_interval = if meta.dst_sorted { j } else { i };
-            crate::preprocess::build_index(
-                &merged,
-                intervals.range(indexed_interval),
-                meta.dst_sorted,
-            )
-        } else {
-            Vec::new()
-        };
-        let bytes = codec.encode_all(&merged);
-        let index_bytes = (offsets.len() * 4) as u64;
-        overlay.resident_bytes += bytes.len() as u64 + index_bytes;
+        overlay.resident_bytes += (block.bytes.len() + block.offsets.len() * 4) as u64;
         scratch_counts[(i * p + j) as usize] = want;
-        overlay.blocks.insert(
-            (i, j),
-            OverlayBlock {
-                bytes,
-                offsets,
-                edge_count: want,
-            },
-        );
+        overlay.blocks.insert((i, j), block);
     }
 
     // Recompute the combined row index of every row with a merged block:
     // merged blocks contribute their fresh offsets, untouched blocks
     // their on-disk (verified) index payloads.
     if meta.indexed && !meta.dst_sorted {
-        let touched_rows: Vec<u32> = {
-            let mut rows: Vec<u32> = overlay.blocks.keys().map(|&(i, _)| i).collect();
-            rows.dedup();
-            rows
-        };
+        let mut touched_rows: Vec<u32> = overlay.blocks.keys().map(|&(i, _)| i).collect();
+        touched_rows.dedup();
         for i in touched_rows {
             let row_len = intervals.len(i) as usize;
-            let mut row_index = vec![0u32; (row_len + 1) * p as usize];
-            for j in 0..p {
+            let base: Vec<Option<ObjectEntry>> = (0..p)
+                .map(|j| base_entry(meta, &block_index_key("", i, j)))
+                .collect();
+            let same = |j: u32| match (overlay.blocks.get(&(i, j)), prior.blocks.get(&(i, j))) {
+                (Some(new), Some(old)) => Arc::ptr_eq(new, old),
+                (None, None) => true,
+                _ => false,
+            };
+            let prior_row = prior
+                .rows
+                .get(&i)
+                .filter(|r| base.iter().all(Option::is_some) && r.base == base);
+            let (mut row_index, columns): (Vec<u32>, Vec<u32>) = match prior_row {
+                Some(r) if (0..p).all(same) => {
+                    overlay.resident_bytes += (r.offsets.len() * 4) as u64;
+                    overlay.rows.insert(i, Arc::clone(r));
+                    continue;
+                }
+                Some(r) => (r.offsets.clone(), (0..p).filter(|&j| !same(j)).collect()),
+                None => (vec![0u32; (row_len + 1) * p as usize], (0..p).collect()),
+            };
+            for j in columns {
+                let decoded;
                 let offsets = match overlay.blocks.get(&(i, j)) {
-                    Some(block) => block.offsets.clone(),
+                    Some(block) => &block.offsets,
                     None => {
                         let rel = block_index_key("", i, j);
                         let payload = storage.read_all(&block_index_key(prefix, i, j))?;
                         verify_base_payload(meta, &rel, &payload)?;
-                        decode_u32s(&payload)?
+                        decoded = decode_u32s(&payload)?;
+                        &decoded
                     }
                 };
                 if offsets.len() != row_len + 1 {
@@ -537,7 +650,13 @@ pub(crate) fn load_overlay(
                 }
             }
             overlay.resident_bytes += row_index.len() as u64 * 4;
-            overlay.rows.insert(i, row_index);
+            overlay.rows.insert(
+                i,
+                Arc::new(OverlayRow {
+                    offsets: row_index,
+                    base,
+                }),
+            );
         }
     }
 
@@ -555,6 +674,33 @@ pub(crate) fn load_overlay(
     meta.num_edges = manifest.merged_num_edges;
     meta.block_edge_counts = scratch_counts;
     Ok(Some(overlay))
+}
+
+/// Merges `ops` over `edges` (sub-block `(i, j)`'s base or earlier merged
+/// edges) into an encoded, indexed overlay block.
+fn merged_block(
+    meta: &GridMeta,
+    intervals: &Intervals,
+    (i, j): (u32, u32),
+    edges: &[Edge],
+    ops: &[DeltaOp],
+    segments: Vec<ObjectEntry>,
+    base: Option<ObjectEntry>,
+) -> OverlayBlock {
+    let merged = merge_block_edges(edges, ops, meta.dst_sorted);
+    let offsets = if meta.indexed {
+        let indexed_interval = if meta.dst_sorted { j } else { i };
+        crate::preprocess::build_index(&merged, intervals.range(indexed_interval), meta.dst_sorted)
+    } else {
+        Vec::new()
+    };
+    OverlayBlock {
+        bytes: meta.codec().encode_all(&merged),
+        offsets,
+        edge_count: merged.len() as u64,
+        segments,
+        base,
+    }
 }
 
 #[cfg(test)]

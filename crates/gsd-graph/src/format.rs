@@ -189,6 +189,18 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
 }
 
 impl GridMeta {
+    /// Whether `other` partitions and lays out blocks exactly as this
+    /// meta does (counts, checksums and epoch aside).
+    pub(crate) fn same_layout(&self, other: &GridMeta) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.p == other.p
+            && self.weighted == other.weighted
+            && self.indexed == other.indexed
+            && self.sorted == other.sorted
+            && self.dst_sorted == other.dst_sorted
+            && self.boundaries == other.boundaries
+    }
+
     /// The interval partition.
     pub fn intervals(&self) -> Intervals {
         Intervals::from_boundaries(self.boundaries.clone())
@@ -559,6 +571,28 @@ mod tests {
         ok.sorted = false;
         ok.seal();
         GridMeta::from_bytes(&ok.to_bytes()).unwrap();
+    }
+
+    #[test]
+    fn sealed_p20_meta_roundtrips_unchanged() {
+        // A real P = 20 meta carries ~800 integrity entries: the long
+        // string-heavy document the JSON parser must read linearly.
+        let g = crate::generators::GeneratorConfig::new(
+            crate::generators::GraphKind::RMat,
+            4000,
+            40_000,
+            5,
+        )
+        .generate();
+        let storage = gsd_io::MemStorage::new();
+        let config = crate::preprocess::PreprocessConfig::graphsd("").with_intervals(20);
+        crate::preprocess::preprocess(&g, &storage, &config).unwrap();
+        let bytes = gsd_io::Storage::read_all(&storage, META_KEY).unwrap();
+        let meta = GridMeta::from_bytes(&bytes).unwrap();
+        assert_eq!(meta.p, 20);
+        assert_eq!(meta.integrity.as_ref().unwrap().len(), 2 * 400 + 20 + 1);
+        assert_eq!(meta.to_bytes(), bytes);
+        assert_eq!(GridMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
     }
 
     #[test]

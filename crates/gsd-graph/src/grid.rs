@@ -125,14 +125,38 @@ impl GridGraph {
 
     /// Opens the grid stored under `prefix` in `storage`.
     pub fn open_with_prefix(storage: SharedStorage, prefix: &str) -> std::io::Result<Self> {
+        Self::open_from(storage, prefix, None)
+    }
+
+    /// Opens this handle's grid again at the epoch its storage now
+    /// commits, without verification (callers re-apply their policy).
+    ///
+    /// The result equals a cold [`Self::open_with_prefix`], but the
+    /// merged delta overlay advances from this handle's: blocks the new
+    /// epoch did not touch are shared, not re-read and re-merged (see
+    /// [`crate::delta`]). This handle stays valid at its own epoch.
+    pub fn reopen(&self) -> std::io::Result<Self> {
+        Self::open_from(self.storage.clone(), &self.prefix, Some(self))
+    }
+
+    fn open_from(
+        storage: SharedStorage,
+        prefix: &str,
+        prior: Option<&GridGraph>,
+    ) -> std::io::Result<Self> {
         let meta_bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
         let mut meta = GridMeta::from_bytes(&meta_bytes)?;
+        // A prior overlay is only meaningful over the same partition and
+        // block layout; anything else opens cold.
+        let prior = prior
+            .filter(|g| g.meta.same_layout(&meta))
+            .and_then(|g| g.overlay.as_deref());
         // Format v4: materialize the merged delta sub-blocks and patch the
         // in-memory meta to the merged shape. Every segment and every base
         // payload the merge touches is checksum-verified here, once, so
         // the overlay needs no verify-on-read of its own.
         let overlay =
-            crate::delta::load_overlay(storage.as_ref(), prefix, &mut meta)?.map(Arc::new);
+            crate::delta::load_overlay(storage.as_ref(), prefix, &mut meta, prior)?.map(Arc::new);
         let intervals = meta.intervals();
         let codec = meta.codec();
         Ok(GridGraph {

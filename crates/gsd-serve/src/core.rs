@@ -324,11 +324,11 @@ impl ServeCore {
     }
 
     fn compact_inner(&mut self) -> Result<Response, String> {
+        // The served handle is at the committed epoch (every mutation
+        // refreshes it), so its overlay is the merged view to fold.
         let grid = self.session.grid();
-        let storage = grid.storage().clone();
-        let prefix = grid.prefix().to_owned();
         let epoch = grid.delta_epoch();
-        let report = gsd_delta::compact(&storage, &prefix, self.sink.as_ref())
+        let report = gsd_delta::compact(grid, self.sink.as_ref())
             .map_err(|e| format!("compaction failed: {e}"))?;
         match report {
             Some(report) => {

@@ -462,7 +462,8 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
     let obs = Observability::from_flags(args)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
-    match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
+    let grid = GridGraph::open(storage).map_err(|e| format!("{dir}: {e}"))?;
+    match graphsd::delta::compact(&grid, sink.as_ref()).map_err(|e| e.to_string())? {
         Some(r) => println!(
             "epoch {}: folded {} segment(s) into {} rewritten object(s) ({} KiB); grid fingerprint {:016x}",
             r.epoch,
